@@ -13,12 +13,16 @@ x' = q * P + x, where q is the final peeled quotient, whose residue every
 unknown channel is left holding. Subtracting q * P channel-wise from the
 seed values yields the true residues, and the arbitrary seed cancels
 exactly.
+
+The peel runs in Garner form (``rns.PeelRows``): one sum of products per
+known channel for its digit, then one per unknown channel over all the
+digits, which is (n-k)*(n-k-1)/2 + k*(n-k) multiply-adds with n-k known
+channels out of n. Together with the quotient that produced the known
+residues, a divide-and-extend stage costs about n**2/2 + k*(n-k).
 """
 
-from math import prod
-
 from .errors import EmptyKnownSet
-from .rns import PartialResidueVector, ResidueVector, _peel_division
+from .rns import PartialResidueVector, PeelRows, ResidueVector, _peel_division
 
 
 def base_extend(x: PartialResidueVector, *, fill: dict | None = None) -> ResidueVector:
@@ -37,26 +41,23 @@ def base_extend(x: PartialResidueVector, *, fill: dict | None = None) -> Residue
     ms = x.mset
     moduli = ms.moduli
     n = len(moduli)
-    known = x.known
-    if not known:
+    values = x.values
+    if not values:
         raise EmptyKnownSet("nothing to extend from")
-    if len(known) == n:
-        return ResidueVector(tuple(x.values[i] for i in range(n)), ms)
+    if len(values) == n:
+        return ResidueVector._reduced(tuple(values[i] for i in range(n)), ms)
 
-    seed = {}
-    current: list = []
-    for i in range(n):
-        if i in x.values:
-            current.append(x.values[i])
-        else:
-            s = fill[i] if fill is not None else 0
-            seed[i] = s
-            current.append(s)
+    rows = x._extend_rows
+    if rows is None:
+        rows = PeelRows(ms, x.known, [i for i in range(n) if i not in values])
+    seeds = [fill[i] for i in rows.rest] if fill is not None else [0] * len(rows.rest)
+    out = [values.get(i) for i in range(n)]
+    for i, s in zip(rows.rest, seeds):
+        out[i] = s
+    current = list(out)
 
-    _peel_division(ms, current, known)
+    _peel_division(ms, current, rows.peel, rows)
 
-    peeled_product = prod(moduli[i] for i in known)
-    out = list(x.values[i] if i in x.values else 0 for i in range(n))
-    for i, s in seed.items():
-        out[i] = (s - current[i] * (peeled_product % moduli[i])) % moduli[i]
-    return ResidueVector(tuple(out), ms)
+    for i, s, product in zip(rows.rest, seeds, rows.products):
+        out[i] = (s - current[i] * product) % moduli[i]
+    return ResidueVector._reduced(tuple(out), ms)

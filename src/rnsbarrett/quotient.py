@@ -1,18 +1,28 @@
 """Exact quotients by moduli subproducts, computed entirely channel-wise.
 
 Floor-dividing by a product of moduli is the same as floor-dividing by each
-of them in turn. Each single division is cheap in residue form (see
-``rns._peel_division``), so the quotient by any subproduct of the moduli
-costs one peel per divisor modulus. The price is that the result is known
-only on the surviving channels; that is still a complete description, since
-the quotient is smaller than the product of the surviving moduli.
+of them in turn. Peeling the divisor moduli (``rns._peel_division``) pulls
+off the mixed-radix digits of the dividend over them, and the quotient on
+each surviving channel is the dividend minus those digits' positional sum,
+times the inverse of the divisor product. In Garner form every digit and
+every surviving channel is one sum of products over a row of prefix
+products that the partition precomputes, which is k*(k-1)/2 + k*(n-k)
+multiply-adds for k divisor channels out of n. The result is known only on
+the surviving channels; that is still a complete description, since the
+quotient is smaller than the product of the surviving moduli.
 """
 
 from dataclasses import dataclass, field
 from math import prod
 
 from .errors import PartitionMismatch
-from .rns import ModuliSet, PartialResidueVector, ResidueVector, _peel_division
+from .rns import (
+    ModuliSet,
+    PartialResidueVector,
+    PeelRows,
+    ResidueVector,
+    _peel_division,
+)
 
 
 @dataclass(frozen=True)
@@ -23,6 +33,11 @@ class ModuliPartition:
     may be any nonempty proper subset, not necessarily a prefix. Peeling
     happens in ascending index order (the result does not depend on the
     order).
+
+    Construction builds the two row sets every pass reads: ``divide_rows``
+    peel the divisor channels and update the surviving ones (the quotient),
+    and ``extend_rows`` peel the surviving channels and update the divisor
+    ones (the base extension of that quotient).
     """
 
     mset: ModuliSet
@@ -30,6 +45,8 @@ class ModuliPartition:
     remaining_indices: tuple[int, ...] = field(init=False)
     divisor_product: int = field(init=False)
     remaining_product: int = field(init=False)
+    divide_rows: PeelRows = field(init=False, repr=False, compare=False)
+    extend_rows: PeelRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.mset.moduli)
@@ -51,6 +68,8 @@ class ModuliPartition:
         object.__setattr__(
             self, "remaining_product", self.mset.product // self.divisor_product
         )
+        object.__setattr__(self, "divide_rows", PeelRows(self.mset, idx, remaining))
+        object.__setattr__(self, "extend_rows", PeelRows(self.mset, remaining, idx))
 
 
 def quotient_by_moduli_product(
@@ -61,12 +80,13 @@ def quotient_by_moduli_product(
     The quotient is exact floor division of the encoded integer, and since
     it is below ``remaining_product`` the returned partial vector determines
     it uniquely. Divisor-channel residues are consumed by the peeling and
-    are deliberately absent from the result.
+    are deliberately absent from the result, which carries the partition's
+    ``extend_rows`` so that ``base_extend`` need not build them.
     """
     if x.mset != part.mset:
         raise PartitionMismatch("partition and vector use different moduli sets")
     current: list = list(x.values)
-    _peel_division(part.mset, current, part.divisor_indices)
-    return PartialResidueVector(
-        {i: current[i] for i in part.remaining_indices}, part.mset
+    _peel_division(part.mset, current, part.divisor_indices, part.divide_rows)
+    return PartialResidueVector._reduced(
+        {i: current[i] for i in part.remaining_indices}, part.mset, part.extend_rows
     )

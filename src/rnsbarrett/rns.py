@@ -11,8 +11,11 @@ being at least 2); the product M and any decoded integer are ordinary
 Python integers of arbitrary size.
 """
 
-from dataclasses import dataclass
-from math import gcd, prod
+from array import array
+from dataclasses import dataclass, field
+from functools import partial
+from math import gcd, lcm, prod
+from operator import add, mod, mul, sub
 
 from .errors import (
     DuplicateOrNonCoprime,
@@ -24,16 +27,16 @@ from .errors import (
 
 
 class ModuliSet:
-    """An ascending tuple of pairwise coprime moduli plus its lookup tables.
+    """An ascending tuple of pairwise coprime moduli plus its decoding weights.
 
     Instances are immutable after construction and safe to share between
-    threads. Construction precomputes the decoding weights and, for every
-    ordered pair (k, i), the inverse of moduli[k] modulo moduli[i]; the
-    channel algorithms in this package only ever read these tables and never
-    invert at run time.
+    threads. Construction precomputes the decoding weights only. The inverses
+    that channel peeling needs depend on which channels are peeled, so they
+    live in ``PeelRows``, which each ``ModuliPartition`` builds once and
+    ad-hoc callers build per call.
     """
 
-    __slots__ = ("moduli", "product", "crt_weights", "_crt_terms", "_inv")
+    __slots__ = ("moduli", "product", "crt_weights", "_crt_terms")
 
     def __init__(self, moduli):
         if not moduli:
@@ -42,30 +45,30 @@ class ModuliSet:
             if m < 2:
                 raise ModulusTooSmall(f"modulus {m} is smaller than 2")
         ordered = tuple(sorted(moduli))
-        n = len(ordered)
-        for a in range(n):
-            for b in range(a + 1, n):
-                if gcd(ordered[a], ordered[b]) != 1:
-                    raise DuplicateOrNonCoprime(
-                        f"moduli {ordered[a]} and {ordered[b]} share a factor"
-                    )
+        product = prod(ordered)
+        # Pairwise coprime exactly when the lcm is the whole product; the
+        # pairwise scan runs only to name the offending pair.
+        if lcm(*ordered) != product:
+            n = len(ordered)
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if gcd(ordered[a], ordered[b]) != 1:
+                        raise DuplicateOrNonCoprime(
+                            f"moduli {ordered[a]} and {ordered[b]} share a factor"
+                        )
         self.moduli = ordered
-        self.product = prod(ordered)
+        self.product = product
         # Decoding weight w_i solves w_i * (M / m_i) == 1 (mod m_i); the
         # stored term w_i * (M / m_i) is what the decode sum actually uses.
         weights = []
         terms = []
         for m in ordered:
-            cofactor = self.product // m
+            cofactor = product // m
             w = pow(cofactor, -1, m)
             weights.append(w)
             terms.append(w * cofactor)
         self.crt_weights = tuple(weights)
         self._crt_terms = tuple(terms)
-        self._inv = [
-            [pow(mk, -1, mi) if k != i else None for i, mi in enumerate(ordered)]
-            for k, mk in enumerate(ordered)
-        ]
 
     def __len__(self) -> int:
         return len(self.moduli)
@@ -104,33 +107,30 @@ class ResidueVector:
             if not 0 <= v < m:
                 raise ValueError(f"residue {v} out of range for modulus {m}")
 
-    def _require_same_set(self, other: "ResidueVector") -> None:
+    @classmethod
+    def _reduced(cls, values: tuple[int, ...], mset: ModuliSet) -> "ResidueVector":
+        """A vector whose values are reduced by construction; skips validation."""
+        rv = object.__new__(cls)
+        object.__setattr__(rv, "values", values)
+        object.__setattr__(rv, "mset", mset)
+        return rv
+
+    def _channelwise(self, op, other: "ResidueVector") -> "ResidueVector":
         if self.mset != other.mset:
             raise SetMismatch("residue vectors belong to different moduli sets")
+        moduli = self.mset.moduli
+        return ResidueVector._reduced(
+            tuple(map(mod, map(op, self.values, other.values), moduli)), self.mset
+        )
 
     def __add__(self, other: "ResidueVector") -> "ResidueVector":
-        self._require_same_set(other)
-        vals = tuple(
-            (a + b) % m
-            for a, b, m in zip(self.values, other.values, self.mset.moduli)
-        )
-        return ResidueVector(vals, self.mset)
+        return self._channelwise(add, other)
 
     def __sub__(self, other: "ResidueVector") -> "ResidueVector":
-        self._require_same_set(other)
-        vals = tuple(
-            (a - b) % m
-            for a, b, m in zip(self.values, other.values, self.mset.moduli)
-        )
-        return ResidueVector(vals, self.mset)
+        return self._channelwise(sub, other)
 
     def __mul__(self, other: "ResidueVector") -> "ResidueVector":
-        self._require_same_set(other)
-        vals = tuple(
-            (a * b) % m
-            for a, b, m in zip(self.values, other.values, self.mset.moduli)
-        )
-        return ResidueVector(vals, self.mset)
+        return self._channelwise(mul, other)
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,11 @@ class PartialResidueVector:
 
     values: dict[int, int]
     mset: ModuliSet
+    # Rows that peel the known channels and update the unknown ones; a
+    # quotient hands its partition's rows on to base extension here.
+    _extend_rows: "PeelRows | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.values:
@@ -158,6 +163,17 @@ class PartialResidueVector:
                 raise ValueError(f"channel index {i} out of range")
             if not 0 <= v < moduli[i]:
                 raise ValueError(f"residue {v} out of range for modulus {moduli[i]}")
+
+    @classmethod
+    def _reduced(
+        cls, values: dict[int, int], mset: ModuliSet, extend_rows=None
+    ) -> "PartialResidueVector":
+        """A nonempty vector reduced by construction; skips validation."""
+        prv = object.__new__(cls)
+        object.__setattr__(prv, "values", values)
+        object.__setattr__(prv, "mset", mset)
+        object.__setattr__(prv, "_extend_rows", extend_rows)
+        return prv
 
     @property
     def known(self) -> tuple[int, ...]:
@@ -204,32 +220,94 @@ def decode_crt(rv: ResidueVector) -> int:
     return total % rv.mset.product
 
 
-def _peel_division(ms: ModuliSet, current: list, peel) -> list[int]:
-    """Divide out the listed moduli one at a time, entirely channel-wise.
+class PeelRows:
+    """Garner rows for peeling an ordered set of channels off a moduli set.
 
-    ``current`` is a mutable length-n list of residues; entries at peeled
-    positions are replaced by None. Dividing by moduli[k] works because the
-    remainder is exactly the channel-k residue: subtracting it makes the
-    value divisible by moduli[k], so every surviving channel multiplies by
-    the precomputed inverse of moduli[k]. Returns the remainder digit pulled
-    off at each peel, in peel order.
+    Peeling the moduli p_0, p_1, ... (the moduli at ``peel``, in that order)
+    pulls off the mixed-radix digits d_0, d_1, ... of the encoded integer x,
+    with place values P_0 = 1, P_1 = p_0, P_2 = p_0 * p_1, and so on. Digit
+    j and the residue of the final quotient on each ``rest`` channel are
+    both residues of x minus its already known digits, divided by a prefix
+    product:
+
+        d_j = (x_j - sum_{l<j} d_l * P_l) * P_j^-1       mod p_j
+        q_i = (x_i - sum_{l<K} d_l * P_l) * P_K^-1       mod m_i
+
+    so each needs one row of prefix products reduced mod its own channel.
+    ``rows`` holds row j (P_0..P_{j-1} mod p_j) for each peeled channel,
+    then row i (P_0..P_{K-1} mod m_i) for each rest channel. ``inverses``
+    holds P_j^-1 mod p_j, then P_K^-1 mod m_i; ``products`` holds P_K mod
+    m_i for the rest channels, which base extension multiplies by.
+
+    Entries are reduced residues, so each row and the two vectors are
+    signed 64-bit arrays unless some modulus of the set is at least 2**63;
+    then they are tuples of Python integers. Instances are immutable in use
+    and safe to share between threads.
+    """
+
+    __slots__ = ("peel", "rest", "rows", "inverses", "products")
+
+    def __init__(self, ms: ModuliSet, peel, rest):
+        moduli = ms.moduli
+        self.peel = tuple(peel)
+        self.rest = tuple(rest)
+        # The moduli are ascending, so the last one bounds every entry.
+        store = partial(array, "q") if moduli[-1] < 1 << 63 else tuple
+        peeled = [moduli[k] for k in self.peel]
+        rows, inverses, products = [], [], []
+        for j, i in enumerate(self.peel + self.rest):
+            m = moduli[i]
+            row = []
+            p = 1
+            for q in peeled[:j]:
+                row.append(p)
+                p = p * q % m
+            rows.append(store(row))
+            inverses.append(pow(p, -1, m))
+            if j >= len(peeled):
+                products.append(p)
+        self.rows = tuple(rows)
+        self.inverses = store(inverses)
+        self.products = store(products)
+
+
+def _peel_division(ms: ModuliSet, current: list, peel, rows=None) -> list[int]:
+    """Divide out the listed moduli, entirely channel-wise.
+
+    ``current`` is a mutable length-n list of residues; None marks channels
+    that are already gone. Peeling moduli[k] divides the encoded integer by
+    it after subtracting its remainder, which is the channel-k residue of
+    the integer peeled so far. Entries at peeled positions are replaced by
+    None. Returns the remainder digit pulled off at each peel, in peel
+    order; these are the mixed-radix digits over the peeled moduli.
 
     After the call, ``current[i]`` for surviving i holds the residue of the
     iterated quotient, which is uniquely determined by those channels alone
     because it is smaller than the product of the surviving moduli.
+
+    The work runs in Garner form (see ``PeelRows``): each digit, then each
+    surviving channel, is one sum of products over a precomputed row. These
+    are the same integers one-at-a-time peeling yields, for the same number
+    of multiplies: K*(K-1)/2 for K digits plus K per surviving channel.
+    ``rows`` must be built for this peel order and for the channels alive in
+    ``current``; it is built here when not given.
     """
+    if rows is None:
+        peel = tuple(peel)
+        rows = PeelRows(
+            ms,
+            peel,
+            [i for i, v in enumerate(current) if v is not None and i not in peel],
+        )
     moduli = ms.moduli
-    inv = ms._inv
-    alive = [i for i, v in enumerate(current) if v is not None]
-    digits = []
-    for k in peel:
-        r = current[k]
-        digits.append(r)
+    row_list = iter(rows.rows)
+    inverses = iter(rows.inverses)
+    digits: list[int] = []
+    for k, row, inverse in zip(rows.peel, row_list, inverses):
+        digits.append((current[k] - sum(map(mul, digits, row))) * inverse % moduli[k])
         current[k] = None
-        alive.remove(k)
-        inv_k = inv[k]
-        for i in alive:
-            current[i] = (current[i] - r) * inv_k[i] % moduli[i]
+    for i, row, inverse in zip(rows.rest, row_list, inverses):
+        current[i] = (current[i] - sum(map(mul, digits, row))) * inverse % moduli[i]
     return digits
 
 
@@ -238,7 +316,7 @@ def to_mixed_radix(rv: ResidueVector) -> MixedRadixDigits:
 
     Peels every modulus in ascending order; the remainder digits pulled off
     are precisely the positional digits, so no decode to a big integer
-    happens anywhere.
+    happens anywhere. The peeling rows are built for this one call.
     """
     current: list = list(rv.values)
     digits = _peel_division(rv.mset, current, range(len(rv.mset.moduli)))

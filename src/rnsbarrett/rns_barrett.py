@@ -153,7 +153,7 @@ def _multiply_reduce(
     x = a * b
     if ctx._g_partition is None:
         # g = 1: the first quotient is x itself, already known everywhere.
-        d_partial = PartialResidueVector(dict(enumerate(x.values)), ctx.mset)
+        d_partial = PartialResidueVector._reduced(dict(enumerate(x.values)), ctx.mset)
         d_full = x
     else:
         d_partial = quotient_by_moduli_product(x, ctx._g_partition)

@@ -1,9 +1,11 @@
 """The residue-form multiplier against its scalar twin and worked values."""
 
 import random
+from importlib import resources
 
 import pytest
 
+import rnsbarrett.rns_barrett
 from rnsbarrett import (
     ConditionViolation,
     ContextMismatch,
@@ -11,6 +13,7 @@ from rnsbarrett import (
     bmm,
     decode_crt,
     encode,
+    load_params,
     make_context,
     make_context_from_divisors,
     make_moduli_set,
@@ -112,6 +115,23 @@ class TestBmm:
         assert tr.x.values == (0, 0, 0, 0)
         assert tr.c.values == (0, 0, 0, 0)
         assert set(tr.d_partial.values.values()) == {0}
+
+    def test_stages_called_through_module_names(self, monkeypatch):
+        # The benchmark's per-stage spans wrap these two module attributes;
+        # a pass that bypassed them would silently drop out of its trace.
+        calls = {"quotient_by_moduli_product": 0, "base_extend": 0}
+        for name in calls:
+            original = getattr(rnsbarrett.rns_barrett, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(rnsbarrett.rns_barrett, name, counted)
+        ctx = load_params(resources.files("rnsbarrett").joinpath("data/example4.json"))
+        c = bmm(encode(20, ctx.mset), encode(19, ctx.mset), ctx)
+        assert c.values == (3, 3, 2, 1)
+        assert calls == {"quotient_by_moduli_product": 2, "base_extend": 2}
 
     def test_unit_g_context(self):
         # g = 1 skips the first quotient entirely

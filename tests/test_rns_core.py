@@ -1,6 +1,7 @@
 """Moduli sets, residue vectors, decoding, and mixed-radix conversion."""
 
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from rnsbarrett import (
     DuplicateOrNonCoprime,
+    ModuliPartition,
     ModulusTooSmall,
     OutOfRange,
     ResidueVector,
@@ -66,13 +68,31 @@ class TestModuliSet:
                 assert w * (ms.product // m) % m == 1
 
     def test_inverse_table(self):
-        ms = EX_SET
-        for k, mk in enumerate(ms.moduli):
-            for i, mi in enumerate(ms.moduli):
-                if k == i:
-                    assert ms._inv[k][i] is None
-                else:
-                    assert mk * ms._inv[k][i] % mi == 1
+        # Every partition's Garner rows: each row entry is the prefix product
+        # of the peeled moduli before it, reduced mod the row's channel, and
+        # each stored inverse times its prefix product is 1 mod the channel.
+        word30 = make_moduli_set(
+            [(1 << 30) - 1, (1 << 30) - 3, (1 << 30) - 5, (1 << 30) - 35, (1 << 30) - 41]
+        )
+        partitions = [ModuliPartition(EX_SET, sub) for sub in ((0,), (1, 3), (0, 1, 2))]
+        partitions += [ModuliPartition(word30, sub) for sub in ((2,), (0, 3), (1, 2, 4))]
+        for part in partitions:
+            moduli = part.mset.moduli
+            for rows in (part.divide_rows, part.extend_rows):
+                peeled = [moduli[k] for k in rows.peel]
+                width = len(peeled)
+                products = []
+                for j, k in enumerate(rows.peel + rows.rest):
+                    length = min(j, width)
+                    m = moduli[k]
+                    assert rows.rows[j].typecode == "q"
+                    assert list(rows.rows[j]) == [
+                        prod(peeled[:l]) % m for l in range(length)
+                    ]
+                    assert rows.inverses[j] * prod(peeled[:length]) % m == 1
+                    if j >= width:
+                        products.append(prod(peeled) % m)
+                assert list(rows.products) == products
 
 
 class TestEncodeDecode:

@@ -1,0 +1,145 @@
+"""Quotient, base extension and bmm at the edges of their shapes.
+
+Each stage is compared with an oracle that shares no code with channel
+peeling: ``encode`` of the big-integer result for the stages, the scalar
+``barrett.modmul`` for ``bmm``. The shapes are the ones the peeling rows
+handle specially: one-channel divisor and remaining sets, g = 1, g and h
+overlapping, h leaving a single channel, 62-bit moduli, and moduli too wide
+for 64-bit rows.
+"""
+
+import random
+
+import pytest
+
+from rnsbarrett import (
+    ModuliPartition,
+    PartialResidueVector,
+    RangeCase,
+    base_extend,
+    bmm,
+    decode_crt,
+    encode,
+    make_context,
+    make_moduli_set,
+    modmul,
+    quotient_by_moduli_product,
+    select_context,
+    trace_bmm,
+)
+
+EX_SET = make_moduli_set([4, 5, 7, 11])
+WORD30_SET = make_moduli_set(
+    [(1 << 30) - 1, (1 << 30) - 3, (1 << 30) - 5, (1 << 30) - 35, (1 << 30) - 41]
+)
+# Mersenne primes, every one but the first wider than 64 bits.
+WIDE_SET = make_moduli_set([(1 << 61) - 1, (1 << 89) - 1, (1 << 107) - 1, (1 << 127) - 1])
+SMALL_H_SET = make_moduli_set([3, 5, 7, 11, 13, 1009])
+
+
+def check_stages(part: ModuliPartition, rng: random.Random, count: int = 50):
+    ms = part.mset
+    samples = [0, 1, ms.product - 1] + [rng.randrange(ms.product) for _ in range(count)]
+    for x in samples:
+        q = quotient_by_moduli_product(encode(x, ms), part)
+        expected = x // part.divisor_product
+        assert q.values == {i: expected % ms.moduli[i] for i in part.remaining_indices}
+        assert base_extend(q) == encode(expected, ms)
+        # Rows built per call give what the partition's rows give.
+        assert base_extend(PartialResidueVector(q.values, ms)) == encode(expected, ms)
+
+
+def check_bmm(ctx, rng: random.Random, count: int = 30):
+    limit = ctx.params.case.input_bound * ctx.params.modulus
+    top = limit - 1
+    pairs = [(top, top), (top, 0), (top, 1), (0, 0)]
+    pairs += [(top, rng.randrange(limit)) for _ in range(count)]
+    pairs += [(rng.randrange(limit), rng.randrange(limit)) for _ in range(count)]
+    for a, b in pairs:
+        got = bmm(encode(a, ctx.mset), encode(b, ctx.mset), ctx)
+        assert decode_crt(got) == modmul(a, b, ctx.params)
+
+
+@pytest.mark.parametrize("ms", [EX_SET, WORD30_SET, WIDE_SET], ids=["ex", "word30", "wide"])
+def test_one_channel_divisor_and_remaining_sets(ms):
+    rng = random.Random(len(ms.moduli))
+    n = len(ms.moduli)
+    for i in range(n):
+        check_stages(ModuliPartition(ms, (i,)), rng, 10)
+        check_stages(ModuliPartition(ms, tuple(j for j in range(n) if j != i)), rng, 10)
+
+
+def test_unit_g():
+    ctx = make_context(SMALL_H_SET, 40, (), (0, 1, 2, 3, 4), RangeCase.CASE2)
+    assert ctx.params.g == 1
+    check_bmm(ctx, random.Random(1))
+
+
+def test_overlapping_g_and_h():
+    ctx = make_context(SMALL_H_SET, 300, (0, 1, 2), (0, 1, 3, 4), RangeCase.CASE1)
+    assert set(ctx.g_indices) & set(ctx.h_indices) == {0, 1}
+    check_bmm(ctx, random.Random(2))
+    check_stages(ModuliPartition(ctx.mset, ctx.h_indices), random.Random(3))
+
+
+@pytest.mark.parametrize(
+    "case, modulus, g_indices", [(1, 300, (0, 1, 2)), (2, 100, (0, 1)), (3, 301, (0, 1, 2))]
+)
+def test_h_leaves_one_channel(case, modulus, g_indices):
+    ctx = make_context(SMALL_H_SET, modulus, g_indices, (0, 1, 2, 3, 4), case)
+    assert len(ctx.h_indices) == len(ctx.mset.moduli) - 1
+    check_bmm(ctx, random.Random(case))
+
+
+def test_word_bits_62():
+    rng = random.Random(62)
+    ctx = select_context(rng.getrandbits(256) | (1 << 255) | 1, RangeCase.CASE2, 62)
+    assert ctx.mset.moduli[-1].bit_length() == 62
+    check_bmm(ctx, rng)
+    check_stages(ModuliPartition(ctx.mset, ctx.g_indices), rng)
+    check_stages(ModuliPartition(ctx.mset, ctx.h_indices), rng)
+
+
+def test_moduli_wider_than_64_bits():
+    ctx = make_context(WIDE_SET, (1 << 100) + 277, (0,), (2, 3), RangeCase.CASE2)
+    for part in (ModuliPartition(WIDE_SET, (0,)), ModuliPartition(WIDE_SET, (2, 3))):
+        for rows in (part.divide_rows, part.extend_rows):
+            assert type(rows.inverses) is tuple
+            assert all(type(row) is tuple for row in rows.rows)
+    check_bmm(ctx, random.Random(64))
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        make_context(EX_SET, 21, (0, 1), (0, 2)),
+        make_context(SMALL_H_SET, 40, (), (0, 1, 2, 3, 4), RangeCase.CASE2),
+        make_context(SMALL_H_SET, 300, (0, 1, 2), (0, 1, 2, 3, 4), RangeCase.CASE1),
+        select_context((1 << 127) + 45, RangeCase.CASE4, 30),
+    ],
+    ids=["example4", "unit-g", "h-all-but-one", "case4-128bit"],
+)
+def test_trace_rows_are_the_public_stages(ctx):
+    # Every trace row equals the public stage functions applied by hand, on
+    # partitions built here rather than the context's own.
+    ms = ctx.mset
+    rng = random.Random(5)
+    limit = ctx.params.case.input_bound * ctx.params.modulus
+    for a, b in [(limit - 1, limit - 1)] + [
+        (rng.randrange(limit), rng.randrange(limit)) for _ in range(20)
+    ]:
+        tr = trace_bmm(encode(a, ms), encode(b, ms), ctx)
+        x = encode(a, ms) * encode(b, ms)
+        assert tr.x == x
+        if ctx.g_indices:
+            d_partial = quotient_by_moduli_product(x, ModuliPartition(ms, ctx.g_indices))
+        else:
+            d_partial = PartialResidueVector(dict(enumerate(x.values)), ms)
+        assert tr.d_partial == d_partial
+        assert tr.d_full == base_extend(d_partial)
+        assert tr.e == tr.d_full * ctx.mu_rv
+        q_partial = quotient_by_moduli_product(tr.e, ModuliPartition(ms, ctx.h_indices))
+        assert tr.q_partial == q_partial
+        assert tr.q_full == base_extend(q_partial)
+        assert tr.c == x - tr.q_full * ctx.n_rv
+        assert decode_crt(tr.c) == modmul(a, b, ctx.params)
