@@ -15,10 +15,12 @@ seed values yields the true residues, and the arbitrary seed cancels
 exactly.
 
 The peel runs in Garner form (``rns.PeelRows``): one sum of products per
-known channel for its digit, then one per unknown channel over all the
-digits, which is (n-k)*(n-k-1)/2 + k*(n-k) multiply-adds with n-k known
-channels out of n. Together with the quotient that produced the known
-residues, a divide-and-extend stage costs about n**2/2 + k*(n-k).
+known channel for its digit, then one multiply-add per digit on a packed
+column that updates every unknown channel at once. With n-k known channels
+out of n that is (n-k)*(n-k-1)/2 small multiply-adds plus n-k
+multiply-adds on k*w-bit integers. Together with the quotient that produced the known
+residues, a divide-and-extend stage costs about (k**2 + (n-k)**2)/2 small
+multiply-adds and n packed ones.
 """
 
 from .errors import EmptyKnownSet

@@ -7,6 +7,7 @@ case (2 or 4); in the open cases the operands would drift out of the
 admissible input range after the first squaring.
 """
 
+from .barrett import final_correct
 from .errors import CaseMismatch, InputOutOfRange
 from .rns import ResidueVector, decode_crt, encode
 from .rns_barrett import RnsBarrettContext, bmm
@@ -58,9 +59,4 @@ def bmm_modexp(
 
 def final_result(y: ResidueVector, ctx: RnsBarrettContext) -> int:
     """Decode and reduce into [0, n) with conditional subtractions."""
-    value = decode_crt(y)
-    modulus = ctx.params.modulus
-    for _ in range(ctx.params.case.output_bound - 1):
-        if value >= modulus:
-            value -= modulus
-    return value
+    return final_correct(decode_crt(y), ctx.params.modulus)

@@ -4,10 +4,12 @@ Floor-dividing by a product of moduli is the same as floor-dividing by each
 of them in turn. Peeling the divisor moduli (``rns._peel_division``) pulls
 off the mixed-radix digits of the dividend over them, and the quotient on
 each surviving channel is the dividend minus those digits' positional sum,
-times the inverse of the divisor product. In Garner form every digit and
-every surviving channel is one sum of products over a row of prefix
-products that the partition precomputes, which is k*(k-1)/2 + k*(n-k)
-multiply-adds for k divisor channels out of n. The result is known only on
+times the inverse of the divisor product. In Garner form every digit is one
+sum of products over a row of prefix products, and the sums of all
+surviving channels come out of packed columns of prefix products that the
+partition precomputes: k*(k-1)/2 small multiply-adds plus k multiply-adds
+on (n-k)*w-bit integers for k divisor channels out of n (see
+``rns.PeelRows`` for the lane width w). The result is known only on
 the surviving channels; that is still a complete description, since the
 quotient is smaller than the product of the surviving moduli.
 """
@@ -34,10 +36,10 @@ class ModuliPartition:
     happens in ascending index order (the result does not depend on the
     order).
 
-    Construction builds the two row sets every pass reads: ``divide_rows``
-    peel the divisor channels and update the surviving ones (the quotient),
-    and ``extend_rows`` peel the surviving channels and update the divisor
-    ones (the base extension of that quotient).
+    Construction builds the two ``PeelRows`` every pass reads:
+    ``divide_rows`` peel the divisor channels and update the surviving ones
+    (the quotient), and ``extend_rows`` peel the surviving channels and
+    update the divisor ones (the base extension of that quotient).
     """
 
     mset: ModuliSet
@@ -59,7 +61,8 @@ class ModuliPartition:
             raise ValueError(f"divisor index out of range 0..{n - 1}")
         if len(idx) == n:
             raise ValueError("divisor set must leave at least one channel")
-        remaining = tuple(i for i in range(n) if i not in set(idx))
+        divisors = set(idx)
+        remaining = tuple(i for i in range(n) if i not in divisors)
         object.__setattr__(self, "divisor_indices", idx)
         object.__setattr__(self, "remaining_indices", remaining)
         object.__setattr__(

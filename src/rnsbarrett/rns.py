@@ -14,8 +14,9 @@ Python integers of arbitrary size.
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 from math import gcd, lcm, prod
-from operator import add, mod, mul, sub
+from operator import add, and_, lshift, mod, mul, rshift, sub
 
 from .errors import (
     DuplicateOrNonCoprime,
@@ -221,7 +222,7 @@ def decode_crt(rv: ResidueVector) -> int:
 
 
 class PeelRows:
-    """Garner rows for peeling an ordered set of channels off a moduli set.
+    """Garner rows and packed columns for peeling an ordered set of channels.
 
     Peeling the moduli p_0, p_1, ... (the moduli at ``peel``, in that order)
     pulls off the mixed-radix digits d_0, d_1, ... of the encoded integer x,
@@ -233,19 +234,25 @@ class PeelRows:
         d_j = (x_j - sum_{l<j} d_l * P_l) * P_j^-1       mod p_j
         q_i = (x_i - sum_{l<K} d_l * P_l) * P_K^-1       mod m_i
 
-    so each needs one row of prefix products reduced mod its own channel.
-    ``rows`` holds row j (P_0..P_{j-1} mod p_j) for each peeled channel,
-    then row i (P_0..P_{K-1} mod m_i) for each rest channel. ``inverses``
-    holds P_j^-1 mod p_j, then P_K^-1 mod m_i; ``products`` holds P_K mod
-    m_i for the rest channels, which base extension multiplies by.
+    ``rows`` holds row j (P_0..P_{j-1} mod p_j) for each peeled channel.
+    The rest-channel sums all run over the same K digits, so they are
+    computed together: ``columns`` holds one packed integer per peeled l,
+    whose lane i (bits ``i*width`` up) is P_l mod the i-th rest modulus.
+    Each term of a lane sum is below (max modulus - 1)**2, so with
+    ``width`` = bit length of K times that bound, no lane sum carries into
+    the next and ``sum(d_l * columns[l])`` holds every rest-channel sum at
+    once. ``inverses`` holds P_j^-1 mod p_j, then P_K^-1 mod m_i;
+    ``products`` holds P_K mod m_i for the rest channels, which base
+    extension multiplies by.
 
-    Entries are reduced residues, so each row and the two vectors are
-    signed 64-bit arrays unless some modulus of the set is at least 2**63;
-    then they are tuples of Python integers. Instances are immutable in use
-    and safe to share between threads.
+    Rows, inverses and products are reduced residues, so they are signed
+    64-bit arrays unless some modulus of the set is at least 2**63; then
+    they are tuples of Python integers. Columns are Python integers at any
+    modulus width. Instances are immutable in use and safe to share between
+    threads.
     """
 
-    __slots__ = ("peel", "rest", "rows", "inverses", "products")
+    __slots__ = ("peel", "rest", "rows", "columns", "width", "inverses", "products")
 
     def __init__(self, ms: ModuliSet, peel, rest):
         moduli = ms.moduli
@@ -254,9 +261,8 @@ class PeelRows:
         # The moduli are ascending, so the last one bounds every entry.
         store = partial(array, "q") if moduli[-1] < 1 << 63 else tuple
         peeled = [moduli[k] for k in self.peel]
-        rows, inverses, products = [], [], []
-        for j, i in enumerate(self.peel + self.rest):
-            m = moduli[i]
+        rows, inverses = [], []
+        for j, m in enumerate(peeled):
             row = []
             p = 1
             for q in peeled[:j]:
@@ -264,11 +270,22 @@ class PeelRows:
                 p = p * q % m
             rows.append(store(row))
             inverses.append(pow(p, -1, m))
-            if j >= len(peeled):
-                products.append(p)
         self.rows = tuple(rows)
+        self.width = width = (len(peeled) * (moduli[-1] - 1) ** 2).bit_length()
+        # Column l packs the lanes P_l mod m_i, one map per peeled modulus;
+        # transposing per-channel rows instead would leave a churn of short
+        # tuples in the interpreter's free lists.
+        rest_moduli = [moduli[i] for i in self.rest]
+        shifts = range(0, width * len(rest_moduli), width)
+        lanes = [1] * len(rest_moduli)
+        columns = []
+        for q in peeled:
+            columns.append(sum(map(lshift, lanes, shifts)))
+            lanes = list(map(mod, map(mul, lanes, repeat(q)), rest_moduli))
+        self.columns = tuple(columns)
+        inverses.extend(map(pow, lanes, repeat(-1), rest_moduli))
         self.inverses = store(inverses)
-        self.products = store(products)
+        self.products = store(lanes)
 
 
 def _peel_division(ms: ModuliSet, current: list, peel, rows=None) -> list[int]:
@@ -285,12 +302,13 @@ def _peel_division(ms: ModuliSet, current: list, peel, rows=None) -> list[int]:
     iterated quotient, which is uniquely determined by those channels alone
     because it is smaller than the product of the surviving moduli.
 
-    The work runs in Garner form (see ``PeelRows``): each digit, then each
-    surviving channel, is one sum of products over a precomputed row. These
-    are the same integers one-at-a-time peeling yields, for the same number
-    of multiplies: K*(K-1)/2 for K digits plus K per surviving channel.
-    ``rows`` must be built for this peel order and for the channels alive in
-    ``current``; it is built here when not given.
+    The work runs in Garner form (see ``PeelRows``): each digit is one sum
+    of products over a precomputed row, K*(K-1)/2 small multiply-adds for K
+    digits; then all n-K surviving channels take their sums from K
+    multiply-adds on packed (n-K)*width-bit integers, and one map applies
+    each channel's inverse. These are the same integers one-at-a-time
+    peeling yields. ``rows`` must be built for this peel order and for the
+    channels alive in ``current``; it is built here when not given.
     """
     if rows is None:
         peel = tuple(peel)
@@ -300,14 +318,26 @@ def _peel_division(ms: ModuliSet, current: list, peel, rows=None) -> list[int]:
             [i for i, v in enumerate(current) if v is not None and i not in peel],
         )
     moduli = ms.moduli
-    row_list = iter(rows.rows)
     inverses = iter(rows.inverses)
     digits: list[int] = []
-    for k, row, inverse in zip(rows.peel, row_list, inverses):
+    for k, row, inverse in zip(rows.peel, rows.rows, inverses):
         digits.append((current[k] - sum(map(mul, digits, row))) * inverse % moduli[k])
         current[k] = None
-    for i, row, inverse in zip(rows.rest, row_list, inverses):
-        current[i] = (current[i] - sum(map(mul, digits, row))) * inverse % moduli[i]
+    rest = rows.rest
+    width = rows.width
+    packed = sum(map(mul, digits, rows.columns))
+    sums = map(
+        and_,
+        map(rshift, repeat(packed), range(0, width * len(rest), width)),
+        repeat((1 << width) - 1),
+    )
+    values = map(
+        mod,
+        map(mul, map(sub, map(current.__getitem__, rest), sums), inverses),
+        map(moduli.__getitem__, rest),
+    )
+    for i, v in zip(rest, values):
+        current[i] = v
     return digits
 
 

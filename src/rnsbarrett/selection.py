@@ -3,13 +3,14 @@
 The conditions leave wide freedom, so this module just has to find one
 valid configuration, not a good one. Strategy: walk candidate moduli
 downward from 2**word_bits - 1, keeping only values coprime to everything
-chosen so far. First grow g as large as its case bound allows, then grow h
-until g*h clears the product bound, then append further moduli until the
-capacity condition holds. The result is revalidated by ``make_context``, so
-a bug here cannot hand out an unsound context.
+chosen so far (one gcd against the running product of the chosen moduli).
+First grow g as large as its case bound allows, then grow h until g*h
+clears the product bound, then append further moduli until the capacity
+condition holds. The result is revalidated by ``make_context``, so a bug
+here cannot hand out an unsound context.
 """
 
-from math import gcd, prod
+from math import gcd
 
 from .barrett import RangeCase
 from .errors import ConditionViolation, SelectionFailed
@@ -17,8 +18,14 @@ from .rns import make_moduli_set
 from .rns_barrett import RnsBarrettContext, make_context
 
 
-def _coprime_to_all(candidate: int, chosen: list[int]) -> bool:
-    return all(gcd(candidate, m) == 1 for m in chosen)
+def _next_coprime(candidate: int, product: int) -> int:
+    """The largest integer up to ``candidate`` coprime to ``product``.
+
+    Returns 1 (or less) when no candidate of at least 2 is left.
+    """
+    while gcd(candidate, product) != 1:
+        candidate -= 1
+    return candidate
 
 
 def select_context(
@@ -41,7 +48,6 @@ def select_context(
         raise ValueError(f"word_bits must be in [4, 62], got {word_bits}")
 
     top = (1 << word_bits) - 1
-    chosen: list[int] = []
 
     # Largest admissible g value for the case's divisor bound.
     g_cap = (modulus - 1) // 2 if case.halves_g else modulus - 1
@@ -50,59 +56,51 @@ def select_context(
             f"no admissible g exists for modulus {modulus} under case {case.value}"
         )
 
-    g_value = 1
-    g_moduli: list[int] = []
-    cand = min(top, g_cap)
-    while cand >= 2:
-        if g_value * cand > g_cap:
-            # Every candidate down to the bound overshoots too; skip them.
-            cand = g_cap // g_value
-            continue
-        if _coprime_to_all(cand, chosen):
-            g_moduli.append(cand)
-            chosen.append(cand)
-            g_value *= cand
-            if len(chosen) > max_moduli:
-                raise SelectionFailed(f"exceeded budget of {max_moduli} moduli")
-            cand = min(cand - 1, g_cap // g_value)
-        else:
-            cand -= 1
+    # ``product`` is the product of ``chosen``; g and h never share a modulus.
+    chosen: list[int] = []
+    product = 1
 
-    product_goal = case.product_factor * modulus * modulus
+    def take(cand: int) -> None:
+        nonlocal product
+        chosen.append(cand)
+        product *= cand
+        if len(chosen) > max_moduli:
+            raise SelectionFailed(f"exceeded budget of {max_moduli} moduli")
 
-    def product_ok(h: int) -> bool:
-        gh = g_value * h
-        return gh > product_goal if case.strict_product else gh >= product_goal
-
-    h_value = 1
-    h_moduli: list[int] = []
     cand = top
-    while not product_ok(h_value):
+    while True:
+        # Candidates above g_cap // g would overshoot the bound; skip them.
+        cand = _next_coprime(min(cand, g_cap // product), product)
+        if cand < 2:
+            break
+        take(cand)
+        cand -= 1
+    g_value = product
+    g_moduli = list(chosen)
+
+    # Here product == g * h, so the condition is tested only when h grows.
+    goal = case.product_factor * modulus * modulus
+    cand = top
+    while not (product > goal if case.strict_product else product >= goal):
+        cand = _next_coprime(cand, product)
         if cand < 2:
             raise SelectionFailed(
                 f"ran out of coprime candidates below 2^{word_bits} while building h"
             )
-        if _coprime_to_all(cand, chosen):
-            h_moduli.append(cand)
-            chosen.append(cand)
-            h_value *= cand
-            if len(chosen) > max_moduli:
-                raise SelectionFailed(f"exceeded budget of {max_moduli} moduli")
+        take(cand)
         cand -= 1
+    h_moduli = chosen[len(g_moduli):]
+    h_value = product // g_value
 
-    m_value = prod(chosen)
     capacity_goal = case.capacity_factor * h_value * modulus
-    while m_value <= capacity_goal:
+    while product <= capacity_goal:
+        cand = _next_coprime(cand, product)
         if cand < 2:
             raise SelectionFailed(
                 f"ran out of coprime candidates below 2^{word_bits} "
                 "while extending capacity"
             )
-        if _coprime_to_all(cand, chosen):
-            chosen.append(cand)
-            m_value *= cand
-            if len(chosen) > max_moduli:
-                raise SelectionFailed(f"exceeded budget of {max_moduli} moduli")
+        take(cand)
         cand -= 1
 
     ms = make_moduli_set(chosen)

@@ -1,5 +1,8 @@
 """Parameter selection: soundness, determinism, and honest failure."""
 
+import hashlib
+import random
+
 import pytest
 
 from rnsbarrett import RangeCase, SelectionFailed, select_context
@@ -77,3 +80,28 @@ def test_case_by_number():
     ctx = select_context(21, 1, 4)
     assert ctx.params.case is RangeCase.CASE1
     assert_sound(ctx, 21, RangeCase.CASE1)
+
+
+@pytest.mark.parametrize(
+    "bits, case, word_bits, shape, ends, digest",
+    [
+        (256, 1, 16, (33, 16, 16), (63221, 65535),
+         "1dcf504a272de6fa1036fcbfe386d359"),
+        (512, 3, 24, (45, 22, 22), (89, 16777215),
+         "f0e920824437dfcd66000d49baaa0fe8"),
+        (1024, 2, 16, (130, 64, 65), (64483, 65535),
+         "2920354c604f87e429f844ff8ea6dba6"),
+        (2048, 4, 30, (139, 69, 69), (73, 1073741823),
+         "5df11286170a0b47874ae77fad50872e"),
+    ],
+)
+def test_selection_is_pinned(bits, case, word_bits, shape, ends, digest):
+    # The search must keep choosing exactly these moduli and index sets;
+    # the digest covers the full moduli tuple, g_indices and h_indices.
+    n = random.Random(bits).getrandbits(bits) | (1 << (bits - 1)) | 1
+    ctx = select_context(n, case, word_bits)
+    moduli = ctx.mset.moduli
+    assert (len(moduli), len(ctx.g_indices), len(ctx.h_indices)) == shape
+    assert (moduli[0], moduli[-1]) == ends
+    key = repr((moduli, ctx.g_indices, ctx.h_indices)).encode()
+    assert hashlib.sha256(key).hexdigest()[:32] == digest

@@ -68,9 +68,11 @@ class TestModuliSet:
                 assert w * (ms.product // m) % m == 1
 
     def test_inverse_table(self):
-        # Every partition's Garner rows: each row entry is the prefix product
-        # of the peeled moduli before it, reduced mod the row's channel, and
-        # each stored inverse times its prefix product is 1 mod the channel.
+        # Every partition's Garner rows and columns: each row entry is the
+        # prefix product of the peeled moduli before it, reduced mod the
+        # row's channel; lane i of column l is the product of the first l
+        # peeled moduli mod the i-th rest channel; each stored inverse times
+        # its prefix product is 1 mod the channel.
         word30 = make_moduli_set(
             [(1 << 30) - 1, (1 << 30) - 3, (1 << 30) - 5, (1 << 30) - 35, (1 << 30) - 41]
         )
@@ -80,19 +82,27 @@ class TestModuliSet:
             moduli = part.mset.moduli
             for rows in (part.divide_rows, part.extend_rows):
                 peeled = [moduli[k] for k in rows.peel]
-                width = len(peeled)
-                products = []
-                for j, k in enumerate(rows.peel + rows.rest):
-                    length = min(j, width)
-                    m = moduli[k]
+                rest = [moduli[i] for i in rows.rest]
+                count = len(peeled)
+                assert len(rows.rows) == count
+                for j, m in enumerate(peeled):
                     assert rows.rows[j].typecode == "q"
-                    assert list(rows.rows[j]) == [
-                        prod(peeled[:l]) % m for l in range(length)
-                    ]
-                    assert rows.inverses[j] * prod(peeled[:length]) % m == 1
-                    if j >= width:
-                        products.append(prod(peeled) % m)
-                assert list(rows.products) == products
+                    row = [prod(peeled[:l]) % m for l in range(j)]
+                    assert list(rows.rows[j]) == row
+                    assert rows.inverses[j] * prod(peeled[:j]) % m == 1
+                width = rows.width
+                assert width == (count * (moduli[-1] - 1) ** 2).bit_length()
+                assert len(rows.columns) == count
+                for l, column in enumerate(rows.columns):
+                    assert column >> (width * len(rest)) == 0
+                    for i, m in enumerate(rest):
+                        lane = column >> (width * i) & ((1 << width) - 1)
+                        assert lane == prod(peeled[:l]) % m
+                for i, m in enumerate(rest):
+                    assert rows.inverses[count + i] * prod(peeled) % m == 1
+                assert rows.inverses.typecode == rows.products.typecode == "q"
+                assert len(rows.inverses) == count + len(rest)
+                assert list(rows.products) == [prod(peeled) % m for m in rest]
 
 
 class TestEncodeDecode:

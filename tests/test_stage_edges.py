@@ -5,10 +5,13 @@ peeling: ``encode`` of the big-integer result for the stages, the scalar
 ``barrett.modmul`` for ``bmm``. The shapes are the ones the peeling rows
 handle specially: one-channel divisor and remaining sets, g = 1, g and h
 overlapping, h leaving a single channel, 62-bit moduli, and moduli too wide
-for 64-bit rows.
+for 64-bit rows. The packed columns of the peeling are checked at their
+worst case, every digit at its largest, against exact per-lane sums and a
+one-modulus-at-a-time peel.
 """
 
 import random
+from math import prod
 
 import pytest
 
@@ -27,6 +30,7 @@ from rnsbarrett import (
     select_context,
     trace_bmm,
 )
+from rnsbarrett.rns import PeelRows, _peel_division
 
 EX_SET = make_moduli_set([4, 5, 7, 11])
 WORD30_SET = make_moduli_set(
@@ -35,6 +39,7 @@ WORD30_SET = make_moduli_set(
 # Mersenne primes, every one but the first wider than 64 bits.
 WIDE_SET = make_moduli_set([(1 << 61) - 1, (1 << 89) - 1, (1 << 107) - 1, (1 << 127) - 1])
 SMALL_H_SET = make_moduli_set([3, 5, 7, 11, 13, 1009])
+WORD62_SET = select_context((1 << 255) + 95, RangeCase.CASE2, 62).mset
 
 
 def check_stages(part: ModuliPartition, rng: random.Random, count: int = 50):
@@ -143,3 +148,66 @@ def test_trace_rows_are_the_public_stages(ctx):
         assert tr.q_full == base_extend(q_partial)
         assert tr.c == x - tr.q_full * ctx.n_rv
         assert decode_crt(tr.c) == modmul(a, b, ctx.params)
+
+
+def peel_sets(ms):
+    """Peel orders over ms: each channel alone, ascending and descending
+    halves, and all but the last channel."""
+    n = len(ms.moduli)
+    half = tuple(range(0, n, 2))
+    return [(i,) for i in range(n)] + [half, half[::-1], tuple(range(n - 1))]
+
+
+def reference_peel(ms, current, peel):
+    """One modulus at a time: subtract the digit, multiply by the inverse."""
+    moduli = ms.moduli
+    digits = []
+    for k in peel:
+        digit = current[k]
+        digits.append(digit)
+        current[k] = None
+        for i, v in enumerate(current):
+            if v is not None:
+                current[i] = (v - digit) * pow(moduli[k], -1, moduli[i]) % moduli[i]
+    return digits
+
+
+@pytest.mark.parametrize(
+    "ms", [WORD30_SET, WORD62_SET, WIDE_SET], ids=["word30", "word62", "wide"]
+)
+def test_packed_lanes_hold_worst_case_sums(ms):
+    # Every digit at p_l - 1: each unpacked lane is its exact sum, and
+    # nothing spills above the top lane.
+    moduli = ms.moduli
+    for peel in peel_sets(ms):
+        rest = [i for i in range(len(moduli)) if i not in peel]
+        rows = PeelRows(ms, peel, rest)
+        peeled = [moduli[k] for k in peel]
+        digits = [p - 1 for p in peeled]
+        packed = sum(d * c for d, c in zip(digits, rows.columns))
+        width = rows.width
+        assert packed >> (width * len(rest)) == 0
+        for lane, i in enumerate(rest):
+            exact = sum(
+                d * (prod(peeled[:l]) % moduli[i])
+                for l, d in enumerate(digits)
+            )
+            assert exact < 1 << width
+            assert packed >> (width * lane) & ((1 << width) - 1) == exact
+
+
+@pytest.mark.parametrize(
+    "ms",
+    [EX_SET, WORD30_SET, WORD62_SET, WIDE_SET],
+    ids=["ex", "word30", "word62", "wide"],
+)
+def test_peel_of_all_maximal_residues_matches_reference(ms):
+    # Residues m_i - 1 encode M - 1, whose mixed-radix digits are all
+    # maximal, so every lane sum is as large as the kernel ever sees.
+    top = [m - 1 for m in ms.moduli]
+    for peel in peel_sets(ms):
+        got = list(top)
+        expected = list(top)
+        assert _peel_division(ms, got, peel) == reference_peel(ms, expected, peel)
+        assert got == expected
+        assert [i for i, v in enumerate(got) if v is None] == sorted(peel)
