@@ -22,11 +22,15 @@ Range cases (n is the modulus):
 Cases 1 and 2 guarantee a quotient estimate within 2 of the truth, cases 3
 and 4 within 1. Cases 2 and 4 are closed (inputs and outputs occupy the
 same range), which chained multiplication needs. g and h need not be
-coprime, and g = 1 is allowed.
+coprime, and g = 1 is allowed. The divisor and product inequalities, and
+the residue context's capacity condition c*h*n < M (c = 1, 9, 2, 4), are
+stated once here as named checks that ``make_params``, ``make_context``
+and the CLI's ``params`` table read.
 """
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ConditionViolation, InputOutOfRange
 
@@ -70,6 +74,56 @@ class RangeCase(Enum):
         return 2 if self.value in (1, 2) else 1
 
 
+class Condition(NamedTuple):
+    """One inequality of a range case, evaluated for concrete values.
+
+    ``name`` is the inequality in lower-case notation (``"2*g < n"``);
+    ``failure`` is the text a ConditionViolation carries, empty when the
+    inequality holds.
+    """
+
+    name: str
+    holds: bool
+    failure: str
+
+
+def divisor_condition(modulus: int, g: int, case: RangeCase) -> Condition:
+    """g < n, or 2*g < n in cases 3 and 4."""
+    if case.halves_g:
+        holds = 2 * g < modulus
+        failure = "" if holds else f"2*g < n fails: 2*{g} >= {modulus}"
+        return Condition("2*g < n", holds, failure)
+    holds = g < modulus
+    return Condition("g < n", holds, "" if holds else f"g < n fails: {g} >= {modulus}")
+
+
+def product_condition(modulus: int, g: int, h: int, case: RangeCase) -> Condition:
+    """f*n^2 <= g*h, strict in case 4, with f the case's product factor."""
+    floor_bound = case.product_factor * modulus * modulus
+    gh = g * h
+    if case.strict_product:
+        name = f"{case.product_factor}*n^2 < g*h"
+        holds = gh > floor_bound
+        failure = "" if holds else f"{name} fails: {gh} <= {floor_bound}"
+    else:
+        name = f"{case.product_factor}*n^2 <= g*h"
+        holds = gh >= floor_bound
+        failure = "" if holds else f"{name} fails: {gh} < {floor_bound}"
+    return Condition(name, holds, failure)
+
+
+def capacity_condition(modulus: int, h: int, product: int, case: RangeCase) -> Condition:
+    """c*h*n < M, with c the case's capacity factor and M a moduli product.
+
+    It keeps every intermediate of a residue-form pass below M.
+    """
+    name = f"{case.capacity_factor}*h*n < M"
+    bound = case.capacity_factor * h * modulus
+    holds = bound < product
+    failure = "" if holds else f"capacity {name} fails: {bound} >= {product}"
+    return Condition(name, holds, failure)
+
+
 @dataclass(frozen=True)
 class BarrettParams:
     """Validated reduction constants for one modulus and range case."""
@@ -91,21 +145,12 @@ def make_params(modulus: int, g: int, h: int, case=RangeCase.CASE1) -> BarrettPa
         raise ConditionViolation(f"n >= 2 fails: n = {modulus}")
     if g < 1 or h < 1:
         raise ConditionViolation(f"divisors must be positive: g = {g}, h = {h}")
-    if case.halves_g:
-        if 2 * g >= modulus:
-            raise ConditionViolation(f"2*g < n fails: 2*{g} >= {modulus}")
-    elif g >= modulus:
-        raise ConditionViolation(f"g < n fails: {g} >= {modulus}")
-    floor_bound = case.product_factor * modulus * modulus
-    if case.strict_product:
-        if g * h <= floor_bound:
-            raise ConditionViolation(
-                f"{case.product_factor}*n^2 < g*h fails: {g * h} <= {floor_bound}"
-            )
-    elif g * h < floor_bound:
-        raise ConditionViolation(
-            f"{case.product_factor}*n^2 <= g*h fails: {g * h} < {floor_bound}"
-        )
+    for condition in (
+        divisor_condition(modulus, g, case),
+        product_condition(modulus, g, h, case),
+    ):
+        if not condition.holds:
+            raise ConditionViolation(condition.failure)
     return BarrettParams(modulus, g, h, g * h // modulus, case)
 
 

@@ -14,13 +14,13 @@ unknown channel is left holding. Subtracting q * P channel-wise from the
 seed values yields the true residues, and the arbitrary seed cancels
 exactly.
 
-The peel runs in Garner form (``rns.PeelRows``): one sum of products per
-known channel for its digit, then one multiply-add per digit on a packed
-column that updates every unknown channel at once. With n-k known channels
-out of n that is (n-k)*(n-k-1)/2 small multiply-adds plus n-k
-multiply-adds on k*w-bit integers. Together with the quotient that produced the known
-residues, a divide-and-extend stage costs about (k**2 + (n-k)**2)/2 small
-multiply-adds and n packed ones.
+The peel runs in Garner form (``rns.PeelRows``): one multiply-add per known
+channel on a packed accumulator that holds the pending sums of every later
+known channel and every unknown channel, and drops one w-bit lane per
+digit. With n-k known channels out of n that is n-k multiply-adds, on
+integers shrinking from n-1 lanes to k. Together with the quotient that
+produced the known residues, a divide-and-extend stage costs n packed
+multiply-adds; its only small arithmetic is one mulmod per channel.
 """
 
 from .errors import EmptyKnownSet

@@ -8,7 +8,13 @@ set can be found).
 import argparse
 import sys
 
-from .barrett import RangeCase, final_correct
+from .barrett import (
+    RangeCase,
+    capacity_condition,
+    divisor_condition,
+    final_correct,
+    product_condition,
+)
 from .errors import CaseMismatch, ConditionViolation, SelectionFailed
 from .modexp import bmm_modexp, final_result
 from .paramfile import dumps as dump_params
@@ -182,19 +188,17 @@ def _cmd_params(args) -> int:
     print(f"H = {h}  (indices {', '.join(str(i + 1) for i in ctx.h_indices)})")
     print(f"M: {m.bit_length()} bits")
 
-    pf = case.product_factor
-    product_name = (f"{pf}*N^2 < G*H" if case.strict_product
-                    else f"{pf}*N^2 <= G*H").replace("1*", "")
-    g_name = "2*G < N" if case.halves_g else "G < N"
-    cf = case.capacity_factor
-    capacity_name = f"{cf}*H*N < M".replace("1*", "")
-    product_ok = (pf * n * n < g * h) if case.strict_product else (pf * n * n <= g * h)
+    # The case inequalities print in the parameter file's upper-case
+    # notation, with unit factors dropped.
+    product = product_condition(n, g, h, case)
+    divisor = divisor_condition(n, g, case)
+    capacity = capacity_condition(n, h, m, case)
     checks = [
-        (product_name, product_ok),
-        (g_name, 2 * g < n if case.halves_g else g < n),
+        (product.name.upper().replace("1*", ""), product.holds),
+        (divisor.name.upper(), divisor.holds),
         ("G | M", m % g == 0),
         ("H | M", m % h == 0),
-        (capacity_name, cf * h * n < m),
+        (capacity.name.upper().replace("1*", ""), capacity.holds),
     ]
     print("conditions:")
     for name, ok in checks:

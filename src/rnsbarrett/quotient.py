@@ -4,12 +4,11 @@ Floor-dividing by a product of moduli is the same as floor-dividing by each
 of them in turn. Peeling the divisor moduli (``rns._peel_division``) pulls
 off the mixed-radix digits of the dividend over them, and the quotient on
 each surviving channel is the dividend minus those digits' positional sum,
-times the inverse of the divisor product. In Garner form every digit is one
-sum of products over a row of prefix products, and the sums of all
-surviving channels come out of packed columns of prefix products that the
-partition precomputes: k*(k-1)/2 small multiply-adds plus k multiply-adds
-on (n-k)*w-bit integers for k divisor channels out of n (see
-``rns.PeelRows`` for the lane width w). The result is known only on
+times the inverse of the divisor product. In Garner form all those sums run
+in one packed accumulator fed by columns of prefix products that the
+partition precomputes: k multiply-adds for k divisor channels out of n, on
+an integer that shrinks by one w-bit lane per digit, from n-1 lanes to n-k
+(see ``rns.PeelRows`` for the lane width w). The result is known only on
 the surviving channels; that is still a complete description, since the
 quotient is smaller than the product of the surviving moduli.
 """

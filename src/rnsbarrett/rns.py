@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 from math import gcd, lcm, prod
-from operator import add, and_, lshift, mod, mul, rshift, sub
+from operator import add, and_, mod, mul, rshift, sub
 
 from .errors import (
     DuplicateOrNonCoprime,
@@ -222,7 +222,7 @@ def decode_crt(rv: ResidueVector) -> int:
 
 
 class PeelRows:
-    """Garner rows and packed columns for peeling an ordered set of channels.
+    """Packed columns for peeling an ordered set of channels.
 
     Peeling the moduli p_0, p_1, ... (the moduli at ``peel``, in that order)
     pulls off the mixed-radix digits d_0, d_1, ... of the encoded integer x,
@@ -234,25 +234,22 @@ class PeelRows:
         d_j = (x_j - sum_{l<j} d_l * P_l) * P_j^-1       mod p_j
         q_i = (x_i - sum_{l<K} d_l * P_l) * P_K^-1       mod m_i
 
-    ``rows`` holds row j (P_0..P_{j-1} mod p_j) for each peeled channel.
-    The rest-channel sums all run over the same K digits, so they are
-    computed together: ``columns`` holds one packed integer per peeled l,
-    whose lane i (bits ``i*width`` up) is P_l mod the i-th rest modulus.
-    Each term of a lane sum is below (max modulus - 1)**2, so with
-    ``width`` = bit length of K times that bound, no lane sum carries into
-    the next and ``sum(d_l * columns[l])`` holds every rest-channel sum at
-    once. ``inverses`` holds P_j^-1 mod p_j, then P_K^-1 mod m_i;
-    ``products`` holds P_K mod m_i for the rest channels, which base
-    extension multiplies by.
+    ``columns`` holds one packed integer per peeled l, whose lanes
+    (``width`` bits each, lowest first) are P_l mod p_j for each j > l in
+    peel order, then P_l mod m_i for each rest channel. Each term of a lane
+    sum is below (max modulus - 1)**2, so with ``width`` the bit length of
+    K times that bound, rounded up to whole bytes for ``int.to_bytes``, no
+    lane sum carries into the next. ``inverses`` holds P_j^-1 mod p_j, then
+    P_K^-1 mod m_i; ``products`` holds P_K mod m_i for the rest channels,
+    which base extension multiplies by.
 
-    Rows, inverses and products are reduced residues, so they are signed
-    64-bit arrays unless some modulus of the set is at least 2**63; then
-    they are tuples of Python integers. Columns are Python integers at any
-    modulus width. Instances are immutable in use and safe to share between
-    threads.
+    Inverses and products are signed 64-bit arrays unless some modulus of
+    the set is at least 2**63; then they are tuples of Python integers.
+    Columns are Python integers at any modulus width. Instances are
+    immutable in use and safe to share between threads.
     """
 
-    __slots__ = ("peel", "rest", "rows", "columns", "width", "inverses", "products")
+    __slots__ = ("peel", "rest", "columns", "width", "inverses", "products")
 
     def __init__(self, ms: ModuliSet, peel, rest):
         moduli = ms.moduli
@@ -261,29 +258,21 @@ class PeelRows:
         # The moduli are ascending, so the last one bounds every entry.
         store = partial(array, "q") if moduli[-1] < 1 << 63 else tuple
         peeled = [moduli[k] for k in self.peel]
-        rows, inverses = [], []
-        for j, m in enumerate(peeled):
-            row = []
-            p = 1
-            for q in peeled[:j]:
-                row.append(p)
-                p = p * q % m
-            rows.append(store(row))
-            inverses.append(pow(p, -1, m))
-        self.rows = tuple(rows)
-        self.width = width = (len(peeled) * (moduli[-1] - 1) ** 2).bit_length()
-        # Column l packs the lanes P_l mod m_i, one map per peeled modulus;
-        # transposing per-channel rows instead would leave a churn of short
-        # tuples in the interpreter's free lists.
-        rest_moduli = [moduli[i] for i in self.rest]
-        shifts = range(0, width * len(rest_moduli), width)
-        lanes = [1] * len(rest_moduli)
-        columns = []
+        size = ((len(peeled) * (moduli[-1] - 1) ** 2).bit_length() + 7) // 8
+        self.width = 8 * size
+        # ``lanes`` holds P_l mod each channel not yet peeled, the one about
+        # to be peeled first; one map per peeled modulus steps l.
+        targets = peeled + [moduli[i] for i in self.rest]
+        lanes = [1] * len(targets)
+        inverses, columns = [], []
         for q in peeled:
-            columns.append(sum(map(lshift, lanes, shifts)))
-            lanes = list(map(mod, map(mul, lanes, repeat(q)), rest_moduli))
+            inverses.append(pow(lanes[0], -1, q))
+            del lanes[0], targets[0]
+            packed = b"".join(map(int.to_bytes, lanes, repeat(size), repeat("little")))
+            columns.append(int.from_bytes(packed, "little"))
+            lanes = list(map(mod, map(mul, lanes, repeat(q)), targets))
         self.columns = tuple(columns)
-        inverses.extend(map(pow, lanes, repeat(-1), rest_moduli))
+        inverses.extend(map(pow, lanes, repeat(-1), targets))
         self.inverses = store(inverses)
         self.products = store(lanes)
 
@@ -302,13 +291,15 @@ def _peel_division(ms: ModuliSet, current: list, peel, rows=None) -> list[int]:
     iterated quotient, which is uniquely determined by those channels alone
     because it is smaller than the product of the surviving moduli.
 
-    The work runs in Garner form (see ``PeelRows``): each digit is one sum
-    of products over a precomputed row, K*(K-1)/2 small multiply-adds for K
-    digits; then all n-K surviving channels take their sums from K
-    multiply-adds on packed (n-K)*width-bit integers, and one map applies
-    each channel's inverse. These are the same integers one-at-a-time
-    peeling yields. ``rows`` must be built for this peel order and for the
-    channels alive in ``current``; it is built here when not given.
+    The work runs in Garner form on one packed accumulator (see
+    ``PeelRows``). Its lowest lane is the sum the next digit subtracts; the
+    digit shifts that lane out and adds itself times its column. K digits
+    thus cost K multiply-adds on an integer that shrinks by one lane per
+    digit and ends holding the n-K rest-channel sums, which are unpacked
+    and finished by one map with each channel's inverse. These are the same
+    integers one-at-a-time peeling yields. ``rows`` must be built for this
+    peel order and for the channels alive in ``current``; it is built here
+    when not given.
     """
     if rows is None:
         peel = tuple(peel)
@@ -318,18 +309,19 @@ def _peel_division(ms: ModuliSet, current: list, peel, rows=None) -> list[int]:
             [i for i, v in enumerate(current) if v is not None and i not in peel],
         )
     moduli = ms.moduli
+    width = rows.width
+    mask = (1 << width) - 1
     inverses = iter(rows.inverses)
     digits: list[int] = []
-    for k, row, inverse in zip(rows.peel, rows.rows, inverses):
-        digits.append((current[k] - sum(map(mul, digits, row))) * inverse % moduli[k])
+    acc = 0
+    for k, column, inverse in zip(rows.peel, rows.columns, inverses):
+        digit = (current[k] - (acc & mask)) * inverse % moduli[k]
+        digits.append(digit)
         current[k] = None
+        acc = (acc >> width) + digit * column
     rest = rows.rest
-    width = rows.width
-    packed = sum(map(mul, digits, rows.columns))
     sums = map(
-        and_,
-        map(rshift, repeat(packed), range(0, width * len(rest), width)),
-        repeat((1 << width) - 1),
+        and_, map(rshift, repeat(acc), range(0, width * len(rest), width)), repeat(mask)
     )
     values = map(
         mod,

@@ -18,7 +18,7 @@ M/g and the second below M/h.
 from dataclasses import dataclass, field
 from math import prod
 
-from .barrett import BarrettParams, RangeCase, make_params
+from .barrett import BarrettParams, RangeCase, capacity_condition, make_params
 from .base_extension import base_extend
 from .errors import ConditionViolation, ContextMismatch
 from .quotient import ModuliPartition, quotient_by_moduli_product
@@ -97,11 +97,9 @@ def make_context(
     g = prod((ms.moduli[i] for i in g_idx), start=1)
     h = prod((ms.moduli[i] for i in h_idx), start=1)
     params = make_params(modulus, g, h, case)
-    if case.capacity_factor * h * modulus >= ms.product:
-        raise ConditionViolation(
-            f"capacity {case.capacity_factor}*h*n < M fails: "
-            f"{case.capacity_factor * h * modulus} >= {ms.product}"
-        )
+    capacity = capacity_condition(modulus, h, ms.product, case)
+    if not capacity.holds:
+        raise ConditionViolation(capacity.failure)
     return RnsBarrettContext(
         mset=ms,
         params=params,

@@ -17,6 +17,9 @@ from .errors import ConditionViolation, SelectionFailed
 from .rns import make_moduli_set
 from .rns_barrett import RnsBarrettContext, make_context
 
+# Largest moduli set a search may build before giving up.
+MAX_MODULI = 512
+
 
 def _next_coprime(candidate: int, product: int) -> int:
     """The largest integer up to ``candidate`` coprime to ``product``.
@@ -29,17 +32,13 @@ def _next_coprime(candidate: int, product: int) -> int:
 
 
 def select_context(
-    modulus: int,
-    case=RangeCase.CASE1,
-    word_bits: int = 16,
-    *,
-    max_moduli: int = 512,
+    modulus: int, case=RangeCase.CASE1, word_bits: int = 16
 ) -> RnsBarrettContext:
     """Pick moduli near 2**word_bits and divisor index sets for the modulus.
 
     Deterministic: the same arguments always yield the same context. Raises
-    SelectionFailed when the candidate pool or the moduli budget runs out;
-    retrying with larger word_bits usually helps.
+    SelectionFailed when the candidate pool or the budget of ``MAX_MODULI``
+    moduli runs out; retrying with larger word_bits usually helps.
     """
     case = RangeCase(case)
     if modulus < 2:
@@ -64,8 +63,8 @@ def select_context(
         nonlocal product
         chosen.append(cand)
         product *= cand
-        if len(chosen) > max_moduli:
-            raise SelectionFailed(f"exceeded budget of {max_moduli} moduli")
+        if len(chosen) > MAX_MODULI:
+            raise SelectionFailed(f"exceeded budget of {MAX_MODULI} moduli")
 
     cand = top
     while True:

@@ -14,6 +14,7 @@ from rnsbarrett import (
     modmul,
     quotient_steps,
 )
+from rnsbarrett.barrett import divisor_condition, product_condition
 
 
 def random_case_instance(rng, case):
@@ -78,6 +79,24 @@ class TestMakeParams:
     def test_tiny_modulus_rejected(self):
         with pytest.raises(ConditionViolation, match="n >= 2"):
             make_params(1, 1, 10)
+
+    @pytest.mark.parametrize("case", list(RangeCase))
+    def test_named_conditions_decide_acceptance(self, case):
+        # make_params accepts exactly when both named conditions hold, and
+        # otherwise raises the first failing condition's text.
+        n = 21
+        goal = case.product_factor * n * n
+        for g in range(1, n + 2):
+            for h in {goal // g - 1, goal // g, goal // g + 1, goal // g + 2} - {0}:
+                checks = [divisor_condition(n, g, case), product_condition(n, g, h, case)]
+                failed = [c for c in checks if not c.holds]
+                assert all((c.failure == "") == c.holds for c in checks)
+                if failed:
+                    with pytest.raises(ConditionViolation) as info:
+                        make_params(n, g, h, case)
+                    assert str(info.value) == failed[0].failure
+                else:
+                    assert make_params(n, g, h, case).mu == g * h // n
 
     def test_mu_exact(self):
         rng = random.Random(2)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from rnsbarrett import RangeCase, SelectionFailed, select_context
+from rnsbarrett.selection import MAX_MODULI
 
 
 def assert_sound(ctx, n, case):
@@ -65,6 +66,12 @@ def test_candidate_pool_can_run_out():
     # 4-bit words cannot span a 128-bit modulus
     with pytest.raises(SelectionFailed):
         select_context((1 << 127) - 1, RangeCase.CASE1, 4)
+
+
+def test_moduli_budget_can_run_out():
+    # 16-bit words need about 263 moduli for g and as many for h at 4200 bits
+    with pytest.raises(SelectionFailed, match=f"budget of {MAX_MODULI} moduli"):
+        select_context((1 << 4200) - 1, RangeCase.CASE1, 16)
 
 
 def test_argument_validation():

@@ -68,11 +68,11 @@ class TestModuliSet:
                 assert w * (ms.product // m) % m == 1
 
     def test_inverse_table(self):
-        # Every partition's Garner rows and columns: each row entry is the
-        # prefix product of the peeled moduli before it, reduced mod the
-        # row's channel; lane i of column l is the product of the first l
-        # peeled moduli mod the i-th rest channel; each stored inverse times
-        # its prefix product is 1 mod the channel.
+        # Every partition's packed columns: lane j of column l is the product
+        # of the first l peeled moduli, reduced mod the j-th channel after
+        # peeled channel l (the later peeled channels in peel order, then the
+        # rest channels); each stored inverse times its prefix product is 1
+        # mod the channel.
         word30 = make_moduli_set(
             [(1 << 30) - 1, (1 << 30) - 3, (1 << 30) - 5, (1 << 30) - 35, (1 << 30) - 41]
         )
@@ -84,20 +84,18 @@ class TestModuliSet:
                 peeled = [moduli[k] for k in rows.peel]
                 rest = [moduli[i] for i in rows.rest]
                 count = len(peeled)
-                assert len(rows.rows) == count
-                for j, m in enumerate(peeled):
-                    assert rows.rows[j].typecode == "q"
-                    row = [prod(peeled[:l]) % m for l in range(j)]
-                    assert list(rows.rows[j]) == row
-                    assert rows.inverses[j] * prod(peeled[:j]) % m == 1
                 width = rows.width
-                assert width == (count * (moduli[-1] - 1) ** 2).bit_length()
+                bound = (count * (moduli[-1] - 1) ** 2).bit_length()
+                assert width == (bound + 7) // 8 * 8
                 assert len(rows.columns) == count
                 for l, column in enumerate(rows.columns):
-                    assert column >> (width * len(rest)) == 0
-                    for i, m in enumerate(rest):
+                    targets = peeled[l + 1:] + rest
+                    assert column >> (width * len(targets)) == 0
+                    for i, m in enumerate(targets):
                         lane = column >> (width * i) & ((1 << width) - 1)
                         assert lane == prod(peeled[:l]) % m
+                for j, m in enumerate(peeled):
+                    assert rows.inverses[j] * prod(peeled[:j]) % m == 1
                 for i, m in enumerate(rest):
                     assert rows.inverses[count + i] * prod(peeled) % m == 1
                 assert rows.inverses.typecode == rows.products.typecode == "q"

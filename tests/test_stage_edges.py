@@ -5,7 +5,7 @@ peeling: ``encode`` of the big-integer result for the stages, the scalar
 ``barrett.modmul`` for ``bmm``. The shapes are the ones the peeling rows
 handle specially: one-channel divisor and remaining sets, g = 1, g and h
 overlapping, h leaving a single channel, 62-bit moduli, and moduli too wide
-for 64-bit rows. The packed columns of the peeling are checked at their
+for 64-bit arrays. The packed accumulator of the peeling is checked at its
 worst case, every digit at its largest, against exact per-lane sums and a
 one-modulus-at-a-time peel.
 """
@@ -105,12 +105,24 @@ def test_word_bits_62():
     check_stages(ModuliPartition(ctx.mset, ctx.h_indices), rng)
 
 
+def lanes(value: int, width: int, count: int) -> list[int]:
+    """The low ``count`` lanes of a packed integer; nothing may sit above."""
+    assert value >> (width * count) == 0
+    return [value >> (width * i) & ((1 << width) - 1) for i in range(count)]
+
+
 def test_moduli_wider_than_64_bits():
     ctx = make_context(WIDE_SET, (1 << 100) + 277, (0,), (2, 3), RangeCase.CASE2)
+    moduli = WIDE_SET.moduli
     for part in (ModuliPartition(WIDE_SET, (0,)), ModuliPartition(WIDE_SET, (2, 3))):
         for rows in (part.divide_rows, part.extend_rows):
             assert type(rows.inverses) is tuple
-            assert all(type(row) is tuple for row in rows.rows)
+            assert type(rows.products) is tuple
+            peeled = [moduli[k] for k in rows.peel]
+            targets = peeled + [moduli[i] for i in rows.rest]
+            for l, column in enumerate(rows.columns):
+                expected = [prod(peeled[:l]) % m for m in targets[l + 1:]]
+                assert lanes(column, rows.width, len(expected)) == expected
     check_bmm(ctx, random.Random(64))
 
 
@@ -176,24 +188,31 @@ def reference_peel(ms, current, peel):
     "ms", [WORD30_SET, WORD62_SET, WIDE_SET], ids=["word30", "word62", "wide"]
 )
 def test_packed_lanes_hold_worst_case_sums(ms):
-    # Every digit at p_l - 1: each unpacked lane is its exact sum, and
-    # nothing spills above the top lane.
+    # Every digit at p_l - 1, run through the accumulator as the kernel runs
+    # it: the lane read before each digit and the rest lanes left at the end
+    # are their exact sums, below 2**width, and nothing spills above the
+    # top lane.
     moduli = ms.moduli
     for peel in peel_sets(ms):
         rest = [i for i in range(len(moduli)) if i not in peel]
         rows = PeelRows(ms, peel, rest)
         peeled = [moduli[k] for k in peel]
         digits = [p - 1 for p in peeled]
-        packed = sum(d * c for d, c in zip(digits, rows.columns))
         width = rows.width
-        assert packed >> (width * len(rest)) == 0
-        for lane, i in enumerate(rest):
-            exact = sum(
-                d * (prod(peeled[:l]) % moduli[i])
-                for l, d in enumerate(digits)
-            )
-            assert exact < 1 << width
-            assert packed >> (width * lane) & ((1 << width) - 1) == exact
+
+        def exact(m, count):
+            return sum(d * (prod(peeled[:l]) % m) for l, d in enumerate(digits[:count]))
+
+        acc = 0
+        for j, column in enumerate(rows.columns):
+            pending = exact(peeled[j], j)
+            assert pending < 1 << width
+            assert acc & ((1 << width) - 1) == pending
+            acc = (acc >> width) + digits[j] * column
+            assert acc >> (width * (len(digits) - 1 - j + len(rest))) == 0
+        expected = [exact(moduli[i], len(digits)) for i in rest]
+        assert all(s < 1 << width for s in expected)
+        assert lanes(acc, width, len(rest)) == expected
 
 
 @pytest.mark.parametrize(
