@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import ConditionViolation, InputOutOfRange
+from .errors import ConditionViolation, InputOutOfRange, int_text
 
 
 class RangeCase(Enum):
@@ -91,10 +91,13 @@ def divisor_condition(modulus: int, g: int, case: RangeCase) -> Condition:
     """g < n, or 2*g < n in cases 3 and 4."""
     if case.halves_g:
         holds = 2 * g < modulus
-        failure = "" if holds else f"2*g < n fails: 2*{g} >= {modulus}"
+        failure = (
+            "" if holds else f"2*g < n fails: 2*{int_text(g)} >= {int_text(modulus)}"
+        )
         return Condition("2*g < n", holds, failure)
     holds = g < modulus
-    return Condition("g < n", holds, "" if holds else f"g < n fails: {g} >= {modulus}")
+    failure = "" if holds else f"g < n fails: {int_text(g)} >= {int_text(modulus)}"
+    return Condition("g < n", holds, failure)
 
 
 def product_condition(modulus: int, g: int, h: int, case: RangeCase) -> Condition:
@@ -104,11 +107,15 @@ def product_condition(modulus: int, g: int, h: int, case: RangeCase) -> Conditio
     if case.strict_product:
         name = f"{case.product_factor}*n^2 < g*h"
         holds = gh > floor_bound
-        failure = "" if holds else f"{name} fails: {gh} <= {floor_bound}"
+        failure = (
+            "" if holds else f"{name} fails: {int_text(gh)} <= {int_text(floor_bound)}"
+        )
     else:
         name = f"{case.product_factor}*n^2 <= g*h"
         holds = gh >= floor_bound
-        failure = "" if holds else f"{name} fails: {gh} < {floor_bound}"
+        failure = (
+            "" if holds else f"{name} fails: {int_text(gh)} < {int_text(floor_bound)}"
+        )
     return Condition(name, holds, failure)
 
 
@@ -120,7 +127,10 @@ def capacity_condition(modulus: int, h: int, product: int, case: RangeCase) -> C
     name = f"{case.capacity_factor}*h*n < M"
     bound = case.capacity_factor * h * modulus
     holds = bound < product
-    failure = "" if holds else f"capacity {name} fails: {bound} >= {product}"
+    failure = (
+        "" if holds
+        else f"capacity {name} fails: {int_text(bound)} >= {int_text(product)}"
+    )
     return Condition(name, holds, failure)
 
 
@@ -142,9 +152,11 @@ def make_params(modulus: int, g: int, h: int, case=RangeCase.CASE1) -> BarrettPa
     """
     case = RangeCase(case)
     if modulus < 2:
-        raise ConditionViolation(f"n >= 2 fails: n = {modulus}")
+        raise ConditionViolation(f"n >= 2 fails: n = {int_text(modulus)}")
     if g < 1 or h < 1:
-        raise ConditionViolation(f"divisors must be positive: g = {g}, h = {h}")
+        raise ConditionViolation(
+            f"divisors must be positive: g = {int_text(g)}, h = {int_text(h)}"
+        )
     for condition in (
         divisor_condition(modulus, g, case),
         product_condition(modulus, g, h, case),
@@ -185,9 +197,9 @@ def modmul(a: int, b: int, p: BarrettParams) -> int:
     """
     limit = p.case.input_bound * p.modulus
     if not 0 <= a < limit:
-        raise InputOutOfRange(f"operand {a} not in [0, {limit})")
+        raise InputOutOfRange(f"operand {int_text(a)} not in [0, {int_text(limit)})")
     if not 0 <= b < limit:
-        raise InputOutOfRange(f"operand {b} not in [0, {limit})")
+        raise InputOutOfRange(f"operand {int_text(b)} not in [0, {int_text(limit)})")
     x = a * b
     return x - estimate_quotient(x, p) * p.modulus
 

@@ -4,27 +4,38 @@ When an integer x is smaller than the product P of the moduli on its known
 channels, those residues determine it completely, so the missing channels
 can be filled in without ever reconstructing x as a big integer.
 
-The trick: seed the unknown channels with arbitrary values (zeros in
-production) and peel the known moduli as in the quotient routine. The peel
-digits depend only on the known residues and are the mixed-radix digits of
-x over the known moduli, so their positional sum is x itself. Whatever
-integer x' the seeded vector happened to represent therefore satisfies
-x' = q * P + x, where q is the final peeled quotient, whose residue every
-unknown channel is left holding. Subtracting q * P channel-wise from the
-seed values yields the true residues, and the arbitrary seed cancels
-exactly.
+The trick: seed each unknown channel i with an arbitrary value s and peel
+the known moduli as in the quotient routine. The peel digits depend only
+on the known residues and are the mixed-radix digits of x over the known
+moduli, so their positional sum S is x itself. The peel leaves channel i
+holding the final quotient q = (s - S) * P^-1 mod m_i, and subtracting
+q * P from the seed gives
+
+    s - ((s - S) * P^-1 mod m_i) * P  ==  s - (s - S)  ==  S  (mod m_i),
+
+the true residue x mod m_i, whatever s was: the seed cancels exactly.
+
+With a zero seed the whole seed-and-subtract step collapses to S mod m_i,
+and S on channel i is exactly the lane sum sum_l d_l * (P_l mod m_i) that
+the peel's packed accumulator already holds. So production extension reads
+the unknown channels' lane sums after the last digit and reduces each once,
+with no seed, no quotient and no multiply by P. ``fill`` still runs the
+seeded arithmetic, so that tests can show the seed does not matter.
 
 The peel runs in Garner form (``rns.PeelRows``): one multiply-add per known
 channel on a packed accumulator that holds the pending sums of every later
 known channel and every unknown channel, and drops one w-bit lane per
 digit. With n-k known channels out of n that is n-k multiply-adds, on
-integers shrinking from n-1 lanes to k. Together with the quotient that
-produced the known residues, a divide-and-extend stage costs n packed
-multiply-adds; its only small arithmetic is one mulmod per channel.
+integers shrinking from n-1 lanes to k. The known residues, in peel order,
+then the extended ones, in rest order, are put back in channel order
+through the rows' precomputed permutation (``PeelRows.order``). Together
+with the quotient that produced the known residues, a divide-and-extend
+stage costs n packed multiply-adds and one small multiply-add or reduction
+per channel.
 """
 
 from .errors import EmptyKnownSet
-from .rns import PartialResidueVector, PeelRows, ResidueVector, _peel_division
+from .rns import PartialResidueVector, PeelRows, ResidueVector, _peel
 
 
 def base_extend(x: PartialResidueVector, *, fill: dict | None = None) -> ResidueVector:
@@ -36,9 +47,9 @@ def base_extend(x: PartialResidueVector, *, fill: dict | None = None) -> Residue
     range. Call sites in this package document why their quotients satisfy
     the bound.
 
-    ``fill`` overrides the seed values on unknown channels and exists so
-    tests can demonstrate that the seed does not influence the result; leave
-    it alone in production code.
+    ``fill`` sets seed values on unknown channels and exists so tests can
+    demonstrate that the seed does not influence the result; leave it alone
+    in production code, which takes the zero-seed shortcut.
     """
     ms = x.mset
     moduli = ms.moduli
@@ -52,14 +63,21 @@ def base_extend(x: PartialResidueVector, *, fill: dict | None = None) -> Residue
     rows = x._extend_rows
     if rows is None:
         rows = PeelRows(ms, x.known, [i for i in range(n) if i not in values])
-    seeds = [fill[i] for i in rows.rest] if fill is not None else [0] * len(rows.rest)
-    out = [values.get(i) for i in range(n)]
-    for i, s in zip(rows.rest, seeds):
-        out[i] = s
-    current = list(out)
-
-    _peel_division(ms, current, rows.peel, rows)
-
-    for i, s, product in zip(rows.rest, seeds, rows.products):
-        out[i] = (s - current[i] * product) % moduli[i]
-    return ResidueVector._reduced(tuple(out), ms)
+        known = list(map(values.__getitem__, rows.peel))
+    else:
+        known = x._known
+    if fill is None:
+        extended = _peel(rows, moduli, values, divide=False)[1]
+    else:
+        # The seeded arithmetic: the seeded vector's quotient q gives the
+        # true residue s - q * P; P mod m_i is the inverse of P^-1 mod m_i.
+        seeds = [fill[i] for i in rows.rest]
+        quotient = _peel(rows, moduli, {**values, **dict(zip(rows.rest, seeds))})[1]
+        inverses = rows.inverses[len(rows.peel):]
+        extended = [
+            (s - q * pow(inverse, -1, moduli[i])) % moduli[i]
+            for i, s, q, inverse in zip(rows.rest, seeds, quotient, inverses)
+        ]
+    return ResidueVector._reduced(
+        tuple(map((known + extended).__getitem__, rows.order)), ms
+    )

@@ -2,7 +2,23 @@
 
 Every class maps to one failure mode of the public API. All inherit from
 RnsBarrettError so callers can catch the package's errors wholesale.
+Messages render integers through ``int_text``, so an operand too long for
+``str()`` cannot turn a named error into a ``ValueError``.
 """
+
+
+def int_text(value: int) -> str:
+    """Decimal text of ``value``, or ``<N-bit integer>`` past the str limit.
+
+    CPython 3.11, and 3.10.7 and later 3.10 releases, refuse to convert
+    integers of more than ``sys.int_max_str_digits`` decimal digits (4300
+    by default) to text.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        sign = "-" if value < 0 else ""
+        return f"{sign}<{value.bit_length()}-bit integer>"
 
 
 class RnsBarrettError(Exception):

@@ -1,16 +1,24 @@
 """Exact quotients by moduli subproducts, computed entirely channel-wise.
 
 Floor-dividing by a product of moduli is the same as floor-dividing by each
-of them in turn. Peeling the divisor moduli (``rns._peel_division``) pulls
-off the mixed-radix digits of the dividend over them, and the quotient on
-each surviving channel is the dividend minus those digits' positional sum,
-times the inverse of the divisor product. In Garner form all those sums run
-in one packed accumulator fed by columns of prefix products that the
-partition precomputes: k multiply-adds for k divisor channels out of n, on
-an integer that shrinks by one w-bit lane per digit, from n-1 lanes to n-k
-(see ``rns.PeelRows`` for the lane width w). The result is known only on
-the surviving channels; that is still a complete description, since the
-quotient is smaller than the product of the surviving moduli.
+of them in turn. Peeling the divisor moduli pulls off the mixed-radix
+digits of the dividend over them, and the quotient on each surviving
+channel is the dividend minus those digits' positional sum, times the
+inverse of the divisor product. In Garner form all those sums run in one
+packed accumulator (``rns._peel``, the package's one peel loop) fed by
+columns of prefix products that the partition precomputes: k
+multiply-adds for k divisor channels out of n, on an integer that shrinks
+by one w-bit lane per digit, from n-1 lanes to n-k (see ``rns.PeelRows``
+for the lane width w), then one small multiply-add per surviving channel.
+The result is known only on the surviving channels; that is still a
+complete description, since the quotient is smaller than the product of
+the surviving moduli.
+
+A stage is one pass over plain sequences: the peel indexes the dividend's
+residue tuple directly, and the quotient's residues come out as a list in
+ascending channel order, which is the peel order of the partition's
+extension rows. The result carries that list and those rows, so the base
+extension that follows neither builds rows nor rearranges residues.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +30,7 @@ from .rns import (
     PartialResidueVector,
     PeelRows,
     ResidueVector,
-    _peel_division,
+    _peel,
 )
 
 
@@ -38,7 +46,8 @@ class ModuliPartition:
     Construction builds the two ``PeelRows`` every pass reads:
     ``divide_rows`` peel the divisor channels and update the surviving ones
     (the quotient), and ``extend_rows`` peel the surviving channels and
-    update the divisor ones (the base extension of that quotient).
+    update the divisor ones (the base extension of that quotient), whose
+    ``order`` puts the extension's output back in channel order.
     """
 
     mset: ModuliSet
@@ -83,12 +92,14 @@ def quotient_by_moduli_product(
     it is below ``remaining_product`` the returned partial vector determines
     it uniquely. Divisor-channel residues are consumed by the peeling and
     are deliberately absent from the result, which carries the partition's
-    ``extend_rows`` so that ``base_extend`` need not build them.
+    ``extend_rows`` and its own residues as a list in their peel order, so
+    that ``base_extend`` builds and rearranges nothing.
     """
-    if x.mset != part.mset:
+    mset = part.mset
+    if x.mset is not mset and x.mset != mset:
         raise PartitionMismatch("partition and vector use different moduli sets")
-    current: list = list(x.values)
-    _peel_division(part.mset, current, part.divisor_indices, part.divide_rows)
+    rows = part.divide_rows
+    quotient = _peel(rows, mset.moduli, x.values)[1]
     return PartialResidueVector._reduced(
-        {i: current[i] for i in part.remaining_indices}, part.mset, part.extend_rows
+        dict(zip(rows.rest, quotient)), mset, part.extend_rows, quotient
     )

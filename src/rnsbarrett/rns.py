@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 from math import gcd, lcm, prod
-from operator import add, and_, mod, mul, rshift, sub
+from operator import add, mod, mul, sub
 
 from .errors import (
     DuplicateOrNonCoprime,
@@ -24,6 +24,7 @@ from .errors import (
     ModulusTooSmall,
     OutOfRange,
     SetMismatch,
+    int_text,
 )
 
 
@@ -112,16 +113,17 @@ class ResidueVector:
     def _reduced(cls, values: tuple[int, ...], mset: ModuliSet) -> "ResidueVector":
         """A vector whose values are reduced by construction; skips validation."""
         rv = object.__new__(cls)
-        object.__setattr__(rv, "values", values)
-        object.__setattr__(rv, "mset", mset)
+        fields = rv.__dict__
+        fields["values"] = values
+        fields["mset"] = mset
         return rv
 
     def _channelwise(self, op, other: "ResidueVector") -> "ResidueVector":
-        if self.mset != other.mset:
+        mset = self.mset
+        if other.mset is not mset and other.mset != mset:
             raise SetMismatch("residue vectors belong to different moduli sets")
-        moduli = self.mset.moduli
         return ResidueVector._reduced(
-            tuple(map(mod, map(op, self.values, other.values), moduli)), self.mset
+            tuple(map(mod, map(op, self.values, other.values), mset.moduli)), mset
         )
 
     def __add__(self, other: "ResidueVector") -> "ResidueVector":
@@ -148,9 +150,13 @@ class PartialResidueVector:
 
     values: dict[int, int]
     mset: ModuliSet
-    # Rows that peel the known channels and update the unknown ones; a
-    # quotient hands its partition's rows on to base extension here.
+    # A quotient hands base extension its partition's rows, which peel the
+    # known channels and extend to the unknown ones, and the known residues
+    # as a list in those rows' peel order.
     _extend_rows: "PeelRows | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _known: "list[int] | None" = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -167,13 +173,18 @@ class PartialResidueVector:
 
     @classmethod
     def _reduced(
-        cls, values: dict[int, int], mset: ModuliSet, extend_rows=None
+        cls, values: dict[int, int], mset: ModuliSet, extend_rows=None, known=None
     ) -> "PartialResidueVector":
-        """A nonempty vector reduced by construction; skips validation."""
+        """A nonempty vector reduced by construction; skips validation.
+
+        ``known`` must list ``values`` in ``extend_rows.peel`` order.
+        """
         prv = object.__new__(cls)
-        object.__setattr__(prv, "values", values)
-        object.__setattr__(prv, "mset", mset)
-        object.__setattr__(prv, "_extend_rows", extend_rows)
+        fields = prv.__dict__
+        fields["values"] = values
+        fields["mset"] = mset
+        fields["_extend_rows"] = extend_rows
+        fields["_known"] = known
         return prv
 
     @property
@@ -205,7 +216,7 @@ class MixedRadixDigits:
 def encode(x: int, ms: ModuliSet) -> ResidueVector:
     """Residues of x on every channel. Requires 0 <= x < M."""
     if x < 0 or x >= ms.product:
-        raise OutOfRange(f"{x} is not in [0, {ms.product})")
+        raise OutOfRange(f"{int_text(x)} is not in [0, {int_text(ms.product)})")
     return ResidueVector(tuple(x % m for m in ms.moduli), ms)
 
 
@@ -240,16 +251,18 @@ class PeelRows:
     sum is below (max modulus - 1)**2, so with ``width`` the bit length of
     K times that bound, rounded up to whole bytes for ``int.to_bytes``, no
     lane sum carries into the next. ``inverses`` holds P_j^-1 mod p_j, then
-    P_K^-1 mod m_i; ``products`` holds P_K mod m_i for the rest channels,
-    which base extension multiplies by.
+    P_K^-1 mod m_i. ``order`` is the permutation that puts values laid out
+    as ``peel + rest`` back in ascending channel order: entry t is the
+    position in that layout of the t-th smallest channel index. Base
+    extension assembles its full vector through it.
 
-    Inverses and products are signed 64-bit arrays unless some modulus of
-    the set is at least 2**63; then they are tuples of Python integers.
-    Columns are Python integers at any modulus width. Instances are
-    immutable in use and safe to share between threads.
+    Inverses are a signed 64-bit array unless some modulus of the set is at
+    least 2**63; then they are a tuple of Python integers. Columns are
+    Python integers at any modulus width. Instances are immutable in use
+    and safe to share between threads.
     """
 
-    __slots__ = ("peel", "rest", "columns", "width", "inverses", "products")
+    __slots__ = ("peel", "rest", "columns", "width", "inverses", "order")
 
     def __init__(self, ms: ModuliSet, peel, rest):
         moduli = ms.moduli
@@ -274,32 +287,69 @@ class PeelRows:
         self.columns = tuple(columns)
         inverses.extend(map(pow, lanes, repeat(-1), targets))
         self.inverses = store(inverses)
-        self.products = store(lanes)
+        layout = self.peel + self.rest
+        self.order = array(
+            "H" if len(layout) <= 1 << 16 else "L",
+            sorted(range(len(layout)), key=layout.__getitem__),
+        )
+
+
+def _peel(rows: PeelRows, moduli, values, divide=True) -> tuple[list[int], list[int]]:
+    """Peel ``rows.peel`` in one pass of the packed accumulator.
+
+    ``values[k]`` is the residue on channel k, for every peeled channel and,
+    when ``divide`` is true, every rest channel (a tuple, list or dict keyed
+    by channel index). Each digit is read off the accumulator's lowest
+    lane, which holds the sum that digit subtracts; the accumulator then
+    drops that lane and adds digit times column. After the K-th digit it
+    holds the sum S_i = sum_l d_l * P_l on every rest channel. Returns the
+    digits and one value per rest channel, in rest order:
+
+    - if ``divide``, the quotient residue (values[i] - S_i) * P_K^-1 mod m_i;
+    - otherwise S_i mod m_i. The digits' positional sum is the integer the
+      peeled residues encode (taken below their product), so these are its
+      residues on the rest channels: its base extension.
+
+    This is the package's only peel loop; the two stages, ``to_mixed_radix``
+    and ``_peel_division`` all run through it.
+    """
+    width = rows.width
+    mask = (1 << width) - 1
+    inverses = iter(rows.inverses)
+    digits = []
+    acc = 0
+    # The K-long columns go first, so zip stops without taking a rest inverse.
+    for column, k, inverse in zip(rows.columns, rows.peel, inverses):
+        digit = (values[k] - (acc & mask)) * inverse % moduli[k]
+        digits.append(digit)
+        acc = (acc >> width) + digit * column
+    lanes = range(0, width * len(rows.rest), width)
+    if divide:
+        return digits, [
+            (values[i] - (acc >> shift & mask)) * inverse % moduli[i]
+            for i, shift, inverse in zip(rows.rest, lanes, inverses)
+        ]
+    return digits, [
+        (acc >> shift & mask) % moduli[i] for i, shift in zip(rows.rest, lanes)
+    ]
 
 
 def _peel_division(ms: ModuliSet, current: list, peel, rows=None) -> list[int]:
-    """Divide out the listed moduli, entirely channel-wise.
+    """Divide out the listed moduli in place, entirely channel-wise.
 
     ``current`` is a mutable length-n list of residues; None marks channels
     that are already gone. Peeling moduli[k] divides the encoded integer by
     it after subtracting its remainder, which is the channel-k residue of
     the integer peeled so far. Entries at peeled positions are replaced by
-    None. Returns the remainder digit pulled off at each peel, in peel
-    order; these are the mixed-radix digits over the peeled moduli.
+    None, and surviving entries by the residues of the iterated quotient,
+    which those channels alone determine because it is smaller than the
+    product of the surviving moduli. Returns the remainder digit pulled off
+    at each peel, in peel order; these are the mixed-radix digits over the
+    peeled moduli.
 
-    After the call, ``current[i]`` for surviving i holds the residue of the
-    iterated quotient, which is uniquely determined by those channels alone
-    because it is smaller than the product of the surviving moduli.
-
-    The work runs in Garner form on one packed accumulator (see
-    ``PeelRows``). Its lowest lane is the sum the next digit subtracts; the
-    digit shifts that lane out and adds itself times its column. K digits
-    thus cost K multiply-adds on an integer that shrinks by one lane per
-    digit and ends holding the n-K rest-channel sums, which are unpacked
-    and finished by one map with each channel's inverse. These are the same
-    integers one-at-a-time peeling yields. ``rows`` must be built for this
-    peel order and for the channels alive in ``current``; it is built here
-    when not given.
+    A wrapper over ``_peel``. ``rows`` must be built for this peel order
+    and for the channels alive in ``current``; it is built here when not
+    given.
     """
     if rows is None:
         peel = tuple(peel)
@@ -308,27 +358,10 @@ def _peel_division(ms: ModuliSet, current: list, peel, rows=None) -> list[int]:
             peel,
             [i for i, v in enumerate(current) if v is not None and i not in peel],
         )
-    moduli = ms.moduli
-    width = rows.width
-    mask = (1 << width) - 1
-    inverses = iter(rows.inverses)
-    digits: list[int] = []
-    acc = 0
-    for k, column, inverse in zip(rows.peel, rows.columns, inverses):
-        digit = (current[k] - (acc & mask)) * inverse % moduli[k]
-        digits.append(digit)
+    digits, values = _peel(rows, ms.moduli, current)
+    for k in rows.peel:
         current[k] = None
-        acc = (acc >> width) + digit * column
-    rest = rows.rest
-    sums = map(
-        and_, map(rshift, repeat(acc), range(0, width * len(rest), width)), repeat(mask)
-    )
-    values = map(
-        mod,
-        map(mul, map(sub, map(current.__getitem__, rest), sums), inverses),
-        map(moduli.__getitem__, rest),
-    )
-    for i, v in zip(rest, values):
+    for i, v in zip(rows.rest, values):
         current[i] = v
     return digits
 
@@ -340,6 +373,6 @@ def to_mixed_radix(rv: ResidueVector) -> MixedRadixDigits:
     are precisely the positional digits, so no decode to a big integer
     happens anywhere. The peeling rows are built for this one call.
     """
-    current: list = list(rv.values)
-    digits = _peel_division(rv.mset, current, range(len(rv.mset.moduli)))
-    return MixedRadixDigits(tuple(digits), rv.mset)
+    ms = rv.mset
+    rows = PeelRows(ms, range(len(ms.moduli)), ())
+    return MixedRadixDigits(tuple(_peel(rows, ms.moduli, rv.values)[0]), ms)

@@ -20,7 +20,7 @@ from math import prod
 
 from .barrett import BarrettParams, RangeCase, capacity_condition, make_params
 from .base_extension import base_extend
-from .errors import ConditionViolation, ContextMismatch
+from .errors import ConditionViolation, ContextMismatch, int_text
 from .quotient import ModuliPartition, quotient_by_moduli_product
 from .rns import ModuliSet, PartialResidueVector, ResidueVector, encode
 
@@ -116,12 +116,12 @@ def _indices_for_divisor(ms: ModuliSet, value: int, name: str) -> tuple[int, ...
         return ()
     if value < 1 or ms.product % value != 0:
         raise ConditionViolation(
-            f"{name} | M fails: {value} does not divide {ms.product}"
+            f"{name} | M fails: {int_text(value)} does not divide {int_text(ms.product)}"
         )
     idx = tuple(i for i, m in enumerate(ms.moduli) if value % m == 0)
     if prod((ms.moduli[i] for i in idx), start=1) != value:
         raise ConditionViolation(
-            f"{name} = {value} is not a product of distinct moduli from the set"
+            f"{name} = {int_text(value)} is not a product of distinct moduli from the set"
         )
     return idx
 
@@ -143,15 +143,15 @@ def make_context_from_divisors(
     )
 
 
-def _multiply_reduce(
-    a: ResidueVector, b: ResidueVector, ctx: RnsBarrettContext
-) -> StepTrace:
-    if a.mset != ctx.mset or b.mset != ctx.mset:
+def _multiply_reduce(a: ResidueVector, b: ResidueVector, ctx: RnsBarrettContext):
+    """One pass; returns StepTrace's fields in order, d_partial None if g = 1."""
+    mset = ctx.mset
+    if (a.mset is not mset and a.mset != mset) or (b.mset is not mset and b.mset != mset):
         raise ContextMismatch("operands do not belong to the context's moduli set")
     x = a * b
     if ctx._g_partition is None:
         # g = 1: the first quotient is x itself, already known everywhere.
-        d_partial = PartialResidueVector._reduced(dict(enumerate(x.values)), ctx.mset)
+        d_partial = None
         d_full = x
     else:
         d_partial = quotient_by_moduli_product(x, ctx._g_partition)
@@ -160,7 +160,7 @@ def _multiply_reduce(
     q_partial = quotient_by_moduli_product(e, ctx._h_partition)
     q_full = base_extend(q_partial)
     c = x - q_full * ctx.n_rv
-    return StepTrace(x, d_partial, d_full, e, q_partial, q_full, c)
+    return x, d_partial, d_full, e, q_partial, q_full, c
 
 
 def bmm(a: ResidueVector, b: ResidueVector, ctx: RnsBarrettContext) -> ResidueVector:
@@ -171,11 +171,14 @@ def bmm(a: ResidueVector, b: ResidueVector, ctx: RnsBarrettContext) -> ResidueVe
     is exactly what the scalar ``barrett.modmul`` computes for the same
     operands and constants, not merely congruent to it.
     """
-    return _multiply_reduce(a, b, ctx).c
+    return _multiply_reduce(a, b, ctx)[-1]
 
 
 def trace_bmm(
     a: ResidueVector, b: ResidueVector, ctx: RnsBarrettContext
 ) -> StepTrace:
     """Run one multiply-reduce pass and keep every intermediate vector."""
-    return _multiply_reduce(a, b, ctx)
+    x, d_partial, *rest = _multiply_reduce(a, b, ctx)
+    if d_partial is None:
+        d_partial = PartialResidueVector._reduced(dict(enumerate(x.values)), ctx.mset)
+    return StepTrace(x, d_partial, *rest)

@@ -29,3 +29,46 @@ def random_context(rng: random.Random, cases=(1, 2, 3, 4), max_bits=128):
             return select_context(n, case, word_bits)
         except SelectionFailed:
             continue
+
+
+def reference_peel(ms, current, peel):
+    """One modulus at a time: subtract the digit, multiply by the inverse.
+
+    ``current`` is a length-n list with None on channels already gone; it
+    is updated in place like ``rns._peel_division``. Returns the digits.
+    """
+    moduli = ms.moduli
+    digits = []
+    for k in peel:
+        digit = current[k]
+        digits.append(digit)
+        current[k] = None
+        for i, v in enumerate(current):
+            if v is not None:
+                current[i] = (v - digit) * pow(moduli[k], -1, moduli[i]) % moduli[i]
+    return digits
+
+
+def reference_quotient(ms, values, divisors) -> dict:
+    """Residues of x // prod(divisor moduli) on the other channels."""
+    current = list(values)
+    reference_peel(ms, current, divisors)
+    return {i: v for i, v in enumerate(current) if v is not None}
+
+
+def reference_extend(ms, known: dict) -> tuple:
+    """Residues on every channel of the integer the known channels encode.
+
+    Its mixed-radix digits over the known moduli come from a one-at-a-time
+    peel; each unknown channel then evaluates them by Horner's rule.
+    """
+    moduli = ms.moduli
+    peel = sorted(known)
+    digits = reference_peel(ms, [known.get(i) for i in range(len(moduli))], peel)
+    out = []
+    for i, m in enumerate(moduli):
+        r = 0
+        for d, k in zip(reversed(digits), reversed(peel)):
+            r = (r * moduli[k] + d) % m
+        out.append(r)
+    return tuple(out)

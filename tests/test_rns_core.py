@@ -72,7 +72,8 @@ class TestModuliSet:
         # of the first l peeled moduli, reduced mod the j-th channel after
         # peeled channel l (the later peeled channels in peel order, then the
         # rest channels); each stored inverse times its prefix product is 1
-        # mod the channel.
+        # mod the channel; ``order`` maps the peel-then-rest layout back to
+        # ascending channels.
         word30 = make_moduli_set(
             [(1 << 30) - 1, (1 << 30) - 3, (1 << 30) - 5, (1 << 30) - 35, (1 << 30) - 41]
         )
@@ -98,9 +99,12 @@ class TestModuliSet:
                     assert rows.inverses[j] * prod(peeled[:j]) % m == 1
                 for i, m in enumerate(rest):
                     assert rows.inverses[count + i] * prod(peeled) % m == 1
-                assert rows.inverses.typecode == rows.products.typecode == "q"
+                assert rows.inverses.typecode == "q"
                 assert len(rows.inverses) == count + len(rest)
-                assert list(rows.products) == [prod(peeled) % m for m in rest]
+                # The permutation puts peel-then-rest values in channel order.
+                layout = rows.peel + rows.rest
+                assert [layout[t] for t in rows.order] == sorted(layout)
+                assert not hasattr(rows, "products")
 
 
 class TestEncodeDecode:

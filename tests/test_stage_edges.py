@@ -32,6 +32,8 @@ from rnsbarrett import (
 )
 from rnsbarrett.rns import PeelRows, _peel_division
 
+from helpers import reference_peel
+
 EX_SET = make_moduli_set([4, 5, 7, 11])
 WORD30_SET = make_moduli_set(
     [(1 << 30) - 1, (1 << 30) - 3, (1 << 30) - 5, (1 << 30) - 35, (1 << 30) - 41]
@@ -117,12 +119,15 @@ def test_moduli_wider_than_64_bits():
     for part in (ModuliPartition(WIDE_SET, (0,)), ModuliPartition(WIDE_SET, (2, 3))):
         for rows in (part.divide_rows, part.extend_rows):
             assert type(rows.inverses) is tuple
-            assert type(rows.products) is tuple
             peeled = [moduli[k] for k in rows.peel]
             targets = peeled + [moduli[i] for i in rows.rest]
             for l, column in enumerate(rows.columns):
                 expected = [prod(peeled[:l]) % m for m in targets[l + 1:]]
                 assert lanes(column, rows.width, len(expected)) == expected
+            for j, m in enumerate(targets):
+                assert rows.inverses[j] * prod(peeled[:j]) % m == 1
+            layout = rows.peel + rows.rest
+            assert [layout[t] for t in rows.order] == list(range(len(moduli)))
     check_bmm(ctx, random.Random(64))
 
 
@@ -168,20 +173,6 @@ def peel_sets(ms):
     n = len(ms.moduli)
     half = tuple(range(0, n, 2))
     return [(i,) for i in range(n)] + [half, half[::-1], tuple(range(n - 1))]
-
-
-def reference_peel(ms, current, peel):
-    """One modulus at a time: subtract the digit, multiply by the inverse."""
-    moduli = ms.moduli
-    digits = []
-    for k in peel:
-        digit = current[k]
-        digits.append(digit)
-        current[k] = None
-        for i, v in enumerate(current):
-            if v is not None:
-                current[i] = (v - digit) * pow(moduli[k], -1, moduli[i]) % moduli[i]
-    return digits
 
 
 @pytest.mark.parametrize(
