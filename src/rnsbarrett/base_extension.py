@@ -26,9 +26,10 @@ The peel runs in Garner form (``rns.PeelRows``): one multiply-add per known
 channel on a packed accumulator that holds the pending sums of every later
 known channel and every unknown channel, and drops one w-bit lane per
 digit. With n-k known channels out of n that is n-k multiply-adds, on
-integers shrinking from n-1 lanes to k. The known residues, in peel order,
-then the extended ones, in rest order, are put back in channel order
-through the rows' precomputed permutation (``PeelRows.order``). Together
+integers shrinking from n-1 lanes to k. The known residues, in the order
+the quotient handed them over, then the extended ones, in rest order, are
+put back in channel order through the rows' precomputed permutation
+(``PeelRows.order``), which was built for that layout. Together
 with the quotient that produced the known residues, a divide-and-extend
 stage costs n packed multiply-adds and one small multiply-add or reduction
 per channel.

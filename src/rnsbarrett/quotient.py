@@ -16,9 +16,17 @@ the surviving moduli.
 
 A stage is one pass over plain sequences: the peel indexes the dividend's
 residue tuple directly, and the quotient's residues come out as a list in
-ascending channel order, which is the peel order of the partition's
-extension rows. The result carries that list and those rows, so the base
-extension that follows neither builds rows nor rearranges residues.
+the rest order of the divide rows. The result carries that list and the
+partition's extension rows, whose ``order`` was built for that hand-over
+layout, so the base extension that follows neither builds rows nor
+rearranges residues.
+
+A context whose g and h are disjoint shares tables between its two
+stages (``ModuliPartition._pair``). With x the channels in neither g nor
+h, the rows that peel g + x and extend to h are the h-stage's extension,
+and their first |g| columns are the g-stage's divide rows with rest order
+x + h; the rows that peel h + x and extend to g serve the other way
+round. Two tables per context, not four.
 """
 
 from dataclasses import dataclass, field
@@ -34,6 +42,22 @@ from .rns import (
 )
 
 
+def _split(mset: ModuliSet, divisor_indices) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sorted divisor indices and the ascending rest; raises ValueError."""
+    n = len(mset.moduli)
+    idx = tuple(sorted(divisor_indices))
+    if len(set(idx)) != len(idx):
+        raise ValueError("duplicate divisor index")
+    if not idx:
+        raise ValueError("divisor index set is empty")
+    if idx[0] < 0 or idx[-1] >= n:
+        raise ValueError(f"divisor index out of range 0..{n - 1}")
+    if len(idx) == n:
+        raise ValueError("divisor set must leave at least one channel")
+    divisors = set(idx)
+    return idx, tuple(i for i in range(n) if i not in divisors)
+
+
 @dataclass(frozen=True)
 class ModuliPartition:
     """Split of a moduli set into divisor channels and surviving channels.
@@ -43,11 +67,16 @@ class ModuliPartition:
     happens in ascending index order (the result does not depend on the
     order).
 
-    Construction builds the two ``PeelRows`` every pass reads:
-    ``divide_rows`` peel the divisor channels and update the surviving ones
-    (the quotient), and ``extend_rows`` peel the surviving channels and
-    update the divisor ones (the base extension of that quotient), whose
-    ``order`` puts the extension's output back in channel order.
+    A pass reads two ``PeelRows``: ``divide_rows`` peel the divisor
+    channels and update the surviving ones (the quotient), and
+    ``extend_rows`` peel the surviving channels and update the divisor ones
+    (the base extension of that quotient). The quotient hands its residues
+    over in ``divide_rows.rest`` order, and ``extend_rows.order`` maps that
+    layout, then ``extend_rows.rest``, back to channel order. Construction
+    builds both tables, with the surviving channels ascending in both.
+    A context with disjoint g and h builds its two partitions over two
+    shared tables instead (``_pair``); there the surviving channels come
+    in another order.
     """
 
     mset: ModuliSet
@@ -59,28 +88,54 @@ class ModuliPartition:
     extend_rows: PeelRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.mset.moduli)
-        idx = tuple(sorted(self.divisor_indices))
-        if len(set(idx)) != len(idx):
-            raise ValueError("duplicate divisor index")
-        if not idx:
-            raise ValueError("divisor index set is empty")
-        if idx[0] < 0 or idx[-1] >= n:
-            raise ValueError(f"divisor index out of range 0..{n - 1}")
-        if len(idx) == n:
-            raise ValueError("divisor set must leave at least one channel")
-        divisors = set(idx)
-        remaining = tuple(i for i in range(n) if i not in divisors)
-        object.__setattr__(self, "divisor_indices", idx)
-        object.__setattr__(self, "remaining_indices", remaining)
-        object.__setattr__(
-            self, "divisor_product", prod(self.mset.moduli[i] for i in idx)
+        idx, remaining = _split(self.mset, self.divisor_indices)
+        self._fill(
+            idx,
+            remaining,
+            PeelRows(self.mset, idx, remaining),
+            PeelRows(self.mset, remaining, idx),
         )
-        object.__setattr__(
-            self, "remaining_product", self.mset.product // self.divisor_product
+
+    def _fill(self, idx, remaining, divide_rows, extend_rows) -> None:
+        """Set every field but ``mset`` from the split and its two rows."""
+        fields = self.__dict__
+        fields["divisor_indices"] = idx
+        fields["remaining_indices"] = remaining
+        fields["divisor_product"] = prod(self.mset.moduli[i] for i in idx)
+        fields["remaining_product"] = self.mset.product // fields["divisor_product"]
+        fields["divide_rows"] = divide_rows
+        fields["extend_rows"] = extend_rows
+
+    @classmethod
+    def _pair(
+        cls, mset: ModuliSet, g_indices, h_indices
+    ) -> tuple["ModuliPartition", "ModuliPartition"]:
+        """The g- and h-stage partitions of one context, over two tables.
+
+        g and h must be disjoint. With x the channels in neither, the table
+        that peels g + x and extends to h is the h-stage's extension, and
+        its head of |g| columns is the g-stage's divide rows, which hand
+        the quotient over in x + h order; the table that peels h + x and
+        extends to g serves the other way round. Each table's ``order`` is
+        built for the hand-over order of the stage it extends.
+        """
+        g, g_rest = _split(mset, g_indices)
+        h, h_rest = _split(mset, h_indices)
+        in_h = set(h)
+        x = tuple(i for i in g_rest if i not in in_h)
+        extend_h = PeelRows(mset, g + x, h, handover=x + g)
+        extend_g = PeelRows(mset, h + x, g, handover=x + h)
+
+        def stage(idx, remaining, divide_from, extend_rows):
+            part = object.__new__(cls)
+            part.__dict__["mset"] = mset
+            part._fill(idx, remaining, divide_from.head(mset, len(idx)), extend_rows)
+            return part
+
+        return (
+            stage(g, g_rest, extend_h, extend_g),
+            stage(h, h_rest, extend_g, extend_h),
         )
-        object.__setattr__(self, "divide_rows", PeelRows(self.mset, idx, remaining))
-        object.__setattr__(self, "extend_rows", PeelRows(self.mset, remaining, idx))
 
 
 def quotient_by_moduli_product(
@@ -92,8 +147,9 @@ def quotient_by_moduli_product(
     it is below ``remaining_product`` the returned partial vector determines
     it uniquely. Divisor-channel residues are consumed by the peeling and
     are deliberately absent from the result, which carries the partition's
-    ``extend_rows`` and its own residues as a list in their peel order, so
-    that ``base_extend`` builds and rearranges nothing.
+    ``extend_rows`` and its own residues as a list in ``divide_rows.rest``
+    order, the layout ``extend_rows.order`` was built for, so that
+    ``base_extend`` builds and rearranges nothing.
     """
     mset = part.mset
     if x.mset is not mset and x.mset != mset:

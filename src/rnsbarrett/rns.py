@@ -34,8 +34,8 @@ class ModuliSet:
     Instances are immutable after construction and safe to share between
     threads. Construction precomputes the decoding weights only. The inverses
     that channel peeling needs depend on which channels are peeled, so they
-    live in ``PeelRows``, which each ``ModuliPartition`` builds once and
-    ad-hoc callers build per call.
+    live in ``PeelRows``, which each context or ``ModuliPartition`` builds
+    once and ad-hoc callers build per call.
     """
 
     __slots__ = ("moduli", "product", "crt_weights", "_crt_terms")
@@ -152,7 +152,7 @@ class PartialResidueVector:
     mset: ModuliSet
     # A quotient hands base extension its partition's rows, which peel the
     # known channels and extend to the unknown ones, and the known residues
-    # as a list in those rows' peel order.
+    # as a list in those rows' hand-over order.
     _extend_rows: "PeelRows | None" = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -177,7 +177,8 @@ class PartialResidueVector:
     ) -> "PartialResidueVector":
         """A nonempty vector reduced by construction; skips validation.
 
-        ``known`` must list ``values`` in ``extend_rows.peel`` order.
+        ``known`` must list ``values`` in the hand-over order that
+        ``extend_rows.order`` was built for.
         """
         prv = object.__new__(cls)
         fields = prv.__dict__
@@ -232,6 +233,23 @@ def decode_crt(rv: ResidueVector) -> int:
     return total % rv.mset.product
 
 
+def _store(moduli):
+    """Storage for inverses mod the ascending ``moduli``.
+
+    A signed 64-bit array, or a tuple of Python integers when some modulus
+    is at least 2**63.
+    """
+    return partial(array, "q") if moduli[-1] < 1 << 63 else tuple
+
+
+def _order(layout) -> array:
+    """Entry t is the position in ``layout`` of its t-th smallest channel."""
+    return array(
+        "H" if len(layout) <= 1 << 16 else "L",
+        sorted(range(len(layout)), key=layout.__getitem__),
+    )
+
+
 class PeelRows:
     """Packed columns for peeling an ordered set of channels.
 
@@ -251,10 +269,20 @@ class PeelRows:
     sum is below (max modulus - 1)**2, so with ``width`` the bit length of
     K times that bound, rounded up to whole bytes for ``int.to_bytes``, no
     lane sum carries into the next. ``inverses`` holds P_j^-1 mod p_j, then
-    P_K^-1 mod m_i. ``order`` is the permutation that puts values laid out
-    as ``peel + rest`` back in ascending channel order: entry t is the
-    position in that layout of the t-th smallest channel index. Base
-    extension assembles its full vector through it.
+    P_K^-1 mod m_i.
+
+    ``order`` is the permutation that puts values laid out as the peeled
+    channels in ``handover`` order, then the rest channels in rest order,
+    back in ascending channel order: entry t is the position in that layout
+    of the t-th smallest channel index. ``handover`` is the order in which
+    the peeled channels' residues reach a base extension, ``peel`` unless
+    given; base extension assembles its full vector through ``order``.
+
+    Column l's lanes do not depend on which of the later channels are
+    peeled, so the first k columns of these rows are also the columns of
+    rows that peel only ``peel[:k]`` and keep the others, in the same
+    order, ahead of ``rest``; ``head`` builds those rows over the same
+    integers.
 
     Inverses are a signed 64-bit array unless some modulus of the set is at
     least 2**63; then they are a tuple of Python integers. Columns are
@@ -264,13 +292,12 @@ class PeelRows:
 
     __slots__ = ("peel", "rest", "columns", "width", "inverses", "order")
 
-    def __init__(self, ms: ModuliSet, peel, rest):
+    def __init__(self, ms: ModuliSet, peel, rest, handover=None):
         moduli = ms.moduli
         self.peel = tuple(peel)
         self.rest = tuple(rest)
-        # The moduli are ascending, so the last one bounds every entry.
-        store = partial(array, "q") if moduli[-1] < 1 << 63 else tuple
         peeled = [moduli[k] for k in self.peel]
+        # The moduli are ascending, so the last one bounds every entry.
         size = ((len(peeled) * (moduli[-1] - 1) ** 2).bit_length() + 7) // 8
         self.width = 8 * size
         # ``lanes`` holds P_l mod each channel not yet peeled, the one about
@@ -286,12 +313,31 @@ class PeelRows:
             lanes = list(map(mod, map(mul, lanes, repeat(q)), targets))
         self.columns = tuple(columns)
         inverses.extend(map(pow, lanes, repeat(-1), targets))
-        self.inverses = store(inverses)
-        layout = self.peel + self.rest
-        self.order = array(
-            "H" if len(layout) <= 1 << 16 else "L",
-            sorted(range(len(layout)), key=layout.__getitem__),
+        self.inverses = _store(moduli)(inverses)
+        handover = self.peel if handover is None else tuple(handover)
+        self.order = _order(handover + self.rest)
+
+    def head(self, ms: ModuliSet, k: int) -> "PeelRows":
+        """Rows that peel ``peel[:k]``, keeping ``peel[k:] + rest``.
+
+        The columns are this table's first k, the same integer objects, and
+        the width is this table's, which may be a byte wider than rows built
+        for k channels need. The first k inverses are this table's too; only
+        the rest inverses P_k^-1 mod m_i and ``order`` are computed here.
+        """
+        moduli = ms.moduli
+        rows = object.__new__(PeelRows)
+        rows.peel = self.peel[:k]
+        rows.rest = self.peel[k:] + self.rest
+        rows.columns = self.columns[:k]
+        rows.width = self.width
+        targets = [moduli[i] for i in rows.rest]
+        place = prod(moduli[i] for i in rows.peel)
+        rows.inverses = _store(moduli)(
+            [*self.inverses[:k], *map(pow, repeat(place), repeat(-1), targets)]
         )
+        rows.order = _order(self.peel + self.rest)
+        return rows
 
 
 def _peel(rows: PeelRows, moduli, values, divide=True) -> tuple[list[int], list[int]]:
@@ -310,8 +356,8 @@ def _peel(rows: PeelRows, moduli, values, divide=True) -> tuple[list[int], list[
       peeled residues encode (taken below their product), so these are its
       residues on the rest channels: its base extension.
 
-    This is the package's only peel loop; the two stages, ``to_mixed_radix``
-    and ``_peel_division`` all run through it.
+    This is the package's only peel loop; the two stages and
+    ``to_mixed_radix`` run through it.
     """
     width = rows.width
     mask = (1 << width) - 1
@@ -332,38 +378,6 @@ def _peel(rows: PeelRows, moduli, values, divide=True) -> tuple[list[int], list[
     return digits, [
         (acc >> shift & mask) % moduli[i] for i, shift in zip(rows.rest, lanes)
     ]
-
-
-def _peel_division(ms: ModuliSet, current: list, peel, rows=None) -> list[int]:
-    """Divide out the listed moduli in place, entirely channel-wise.
-
-    ``current`` is a mutable length-n list of residues; None marks channels
-    that are already gone. Peeling moduli[k] divides the encoded integer by
-    it after subtracting its remainder, which is the channel-k residue of
-    the integer peeled so far. Entries at peeled positions are replaced by
-    None, and surviving entries by the residues of the iterated quotient,
-    which those channels alone determine because it is smaller than the
-    product of the surviving moduli. Returns the remainder digit pulled off
-    at each peel, in peel order; these are the mixed-radix digits over the
-    peeled moduli.
-
-    A wrapper over ``_peel``. ``rows`` must be built for this peel order
-    and for the channels alive in ``current``; it is built here when not
-    given.
-    """
-    if rows is None:
-        peel = tuple(peel)
-        rows = PeelRows(
-            ms,
-            peel,
-            [i for i, v in enumerate(current) if v is not None and i not in peel],
-        )
-    digits, values = _peel(rows, ms.moduli, current)
-    for k in rows.peel:
-        current[k] = None
-    for i, v in zip(rows.rest, values):
-        current[i] = v
-    return digits
 
 
 def to_mixed_radix(rv: ResidueVector) -> MixedRadixDigits:

@@ -33,6 +33,11 @@ class RnsBarrettContext:
     two scaling divisors; the sets may overlap, and ``g_indices`` may be
     empty (g = 1, first quotient degenerates to the identity). Instances are
     immutable and safe to share across threads.
+
+    When g and h are disjoint and g is nonempty, which is every context
+    ``select_context`` builds, the two stages' partitions share two peel
+    tables (``ModuliPartition._pair``); otherwise each partition builds its
+    own two.
     """
 
     mset: ModuliSet
@@ -45,13 +50,14 @@ class RnsBarrettContext:
     _h_partition: ModuliPartition = field(init=False, repr=False)
 
     def __post_init__(self):
-        g_part = (
-            ModuliPartition(self.mset, self.g_indices) if self.g_indices else None
-        )
+        g, h = self.g_indices, self.h_indices
+        if g and set(g).isdisjoint(h):
+            g_part, h_part = ModuliPartition._pair(self.mset, g, h)
+        else:
+            g_part = ModuliPartition(self.mset, g) if g else None
+            h_part = ModuliPartition(self.mset, h)
         object.__setattr__(self, "_g_partition", g_part)
-        object.__setattr__(
-            self, "_h_partition", ModuliPartition(self.mset, self.h_indices)
-        )
+        object.__setattr__(self, "_h_partition", h_part)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Shared generators for the test suite."""
+"""Shared generators and reference computations for the test suite."""
 
 import random
 
-from rnsbarrett import RangeCase, SelectionFailed, select_context
+from rnsbarrett import RangeCase, ResidueVector, SelectionFailed, select_context
+from rnsbarrett.rns import PeelRows, _peel
 
 # Distinct prime powers: any subset is pairwise coprime.
 COPRIME_POOL = (4, 9, 25, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -31,11 +32,31 @@ def random_context(rng: random.Random, cases=(1, 2, 3, 4), max_bits=128):
             continue
 
 
+def peel_division(ms, current, peel) -> list[int]:
+    """Divide out the listed moduli in place, through ``rns._peel``.
+
+    ``current`` is a mutable length-n list of residues; None marks channels
+    that are already gone. Peeled entries become None and surviving entries
+    the residues of the quotient by the peeled moduli, which those channels
+    alone determine. Returns the remainder digit pulled off at each peel,
+    in peel order: the mixed-radix digits over the peeled moduli.
+    """
+    peel = tuple(peel)
+    rest = [i for i, v in enumerate(current) if v is not None and i not in peel]
+    rows = PeelRows(ms, peel, rest)
+    digits, values = _peel(rows, ms.moduli, current)
+    for k in peel:
+        current[k] = None
+    for i, v in zip(rest, values):
+        current[i] = v
+    return digits
+
+
 def reference_peel(ms, current, peel):
     """One modulus at a time: subtract the digit, multiply by the inverse.
 
     ``current`` is a length-n list with None on channels already gone; it
-    is updated in place like ``rns._peel_division``. Returns the digits.
+    is updated in place like ``peel_division``. Returns the digits.
     """
     moduli = ms.moduli
     digits = []
@@ -72,3 +93,25 @@ def reference_extend(ms, known: dict) -> tuple:
             r = (r * moduli[k] + d) % m
         out.append(r)
     return tuple(out)
+
+
+def reference_pass(a: ResidueVector, b: ResidueVector, ctx):
+    """Every row of a multiply-reduce pass, from the reference stages."""
+    ms = ctx.mset
+    moduli = ms.moduli
+
+    def channelwise(op, u, v):
+        return tuple(op(s, t) % m for s, t, m in zip(u, v, moduli))
+
+    x = channelwise(int.__mul__, a.values, b.values)
+    if ctx.g_indices:
+        d_partial = reference_quotient(ms, x, ctx.g_indices)
+        d_full = reference_extend(ms, d_partial)
+    else:
+        d_partial = dict(enumerate(x))
+        d_full = x
+    e = channelwise(int.__mul__, d_full, ctx.mu_rv.values)
+    q_partial = reference_quotient(ms, e, ctx.h_indices)
+    q_full = reference_extend(ms, q_partial)
+    c = channelwise(int.__sub__, x, channelwise(int.__mul__, q_full, ctx.n_rv.values))
+    return x, d_partial, d_full, e, q_partial, q_full, c

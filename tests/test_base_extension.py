@@ -15,9 +15,8 @@ from rnsbarrett import (
     make_moduli_set,
     to_mixed_radix,
 )
-from rnsbarrett.rns import _peel_division
 
-from helpers import COPRIME_POOL
+from helpers import COPRIME_POOL, peel_division
 
 EX_SET = make_moduli_set([4, 5, 7, 11])
 
@@ -88,7 +87,7 @@ def test_peeled_digits_are_mixed_radix_digits():
         bound = prod(ms.moduli[i] for i in known)
         x = rng.randrange(bound)
         current = [x % m if i in set(known) else 0 for i, m in enumerate(ms.moduli)]
-        digits = _peel_division(ms, current, known)
+        digits = peel_division(ms, current, known)
         known_only = make_moduli_set([ms.moduli[i] for i in known])
         assert tuple(digits) == to_mixed_radix(encode(x, known_only)).digits
 

@@ -2,10 +2,10 @@
 
 Each stage runs as one pass of the packed accumulator over plain lists:
 the quotient hands its residues to base extension as a list in the
-extension's peel order, a zero-seeded extension reads the lane sums
-directly, and the full vector is assembled through a precomputed
-permutation. The reference (``helpers.reference_quotient`` and
-``reference_extend``) divides by one modulus at a time and evaluates
+divide rows' rest order, a zero-seeded extension reads the lane sums
+directly, and the full vector is assembled through a permutation
+precomputed for that order. The reference (``helpers.reference_quotient``
+and ``reference_extend``) divides by one modulus at a time and evaluates
 mixed-radix digits by Horner's rule, sharing no code with the kernel.
 """
 
@@ -18,7 +18,6 @@ from rnsbarrett import (
     ModuliPartition,
     PartialResidueVector,
     RangeCase,
-    ResidueVector,
     base_extend,
     decode_crt,
     encode,
@@ -31,7 +30,7 @@ from rnsbarrett import (
     trace_bmm,
 )
 
-from helpers import reference_extend, reference_peel, reference_quotient
+from helpers import reference_extend, reference_pass, reference_peel, reference_quotient
 
 # Mersenne primes, every one but the first wider than 64 bits.
 WIDE_SET = make_moduli_set([(1 << 61) - 1, (1 << 89) - 1, (1 << 107) - 1, (1 << 127) - 1])
@@ -76,28 +75,6 @@ def test_wide_mersenne_set_every_partition():
     n = len(ms.moduli)
     for mask in range(1, (1 << n) - 1):
         check_partition(ModuliPartition(ms, [i for i in range(n) if mask >> i & 1]), samples)
-
-
-def reference_pass(a: ResidueVector, b: ResidueVector, ctx):
-    """Every row of a multiply-reduce pass, from the reference stages."""
-    ms = ctx.mset
-    moduli = ms.moduli
-
-    def channelwise(op, u, v):
-        return tuple(op(s, t) % m for s, t, m in zip(u, v, moduli))
-
-    x = channelwise(int.__mul__, a.values, b.values)
-    if ctx.g_indices:
-        d_partial = reference_quotient(ms, x, ctx.g_indices)
-        d_full = reference_extend(ms, d_partial)
-    else:
-        d_partial = dict(enumerate(x))
-        d_full = x
-    e = channelwise(int.__mul__, d_full, ctx.mu_rv.values)
-    q_partial = reference_quotient(ms, e, ctx.h_indices)
-    q_full = reference_extend(ms, q_partial)
-    c = channelwise(int.__sub__, x, channelwise(int.__mul__, q_full, ctx.n_rv.values))
-    return x, d_partial, d_full, e, q_partial, q_full, c
 
 
 @pytest.mark.parametrize(

@@ -16,9 +16,8 @@ from rnsbarrett import (
     make_moduli_set,
     quotient_by_moduli_product,
 )
-from rnsbarrett.rns import _peel_division
 
-from helpers import COPRIME_POOL
+from helpers import COPRIME_POOL, peel_division
 
 EX_SET = make_moduli_set([4, 5, 7, 11])
 
@@ -87,7 +86,7 @@ class TestQuotient:
             current = list(encode(x, EX_SET).values)
             q = x
             for k in (0, 2, 3):
-                _peel_division(EX_SET, current, [k])
+                peel_division(EX_SET, current, [k])
                 q //= EX_SET.moduli[k]
                 alive = [i for i, v in enumerate(current) if v is not None]
                 sub = make_moduli_set([EX_SET.moduli[i] for i in alive])
@@ -102,8 +101,8 @@ class TestQuotient:
             assert (x // 4) // 7 == (x // 7) // 4 == x // 28
             first = list(encode(x, EX_SET).values)
             second = list(first)
-            _peel_division(EX_SET, first, [0, 2])
-            _peel_division(EX_SET, second, [2, 0])
+            peel_division(EX_SET, first, [0, 2])
+            peel_division(EX_SET, second, [2, 0])
             assert first == second
 
     @given(

@@ -1,0 +1,282 @@
+"""The two peel tables a context shares between its divide-and-extend stages.
+
+With x the channels in neither g nor h, a context with disjoint, nonempty
+g and h builds two tables: one peels g + x and extends to h, one peels
+h + x and extends to g. Each is one stage's extension, and its first |g|
+(or |h|) columns, the same integer objects, are the other stage's divide
+rows. The structural tests check that sharing against rows built on their
+own; the edge shapes run whole passes against scalar ``modmul`` and the
+one-modulus-at-a-time reference in ``helpers``.
+"""
+
+import random
+from importlib import resources
+from math import gcd, isqrt, prod
+
+import pytest
+
+from rnsbarrett import (
+    RangeCase,
+    RnsBarrettContext,
+    bmm,
+    decode_crt,
+    encode,
+    load_params,
+    make_context,
+    make_moduli_set,
+    make_params,
+    modmul,
+    quotient_by_moduli_product,
+    select_context,
+    trace_bmm,
+)
+from rnsbarrett.barrett import capacity_condition
+from rnsbarrett.rns import PeelRows
+
+from helpers import reference_pass
+
+# Mersenne primes, every one but the first wider than 64 bits.
+WIDE_SET = make_moduli_set([(1 << 61) - 1, (1 << 89) - 1, (1 << 107) - 1, (1 << 127) - 1])
+SMALL_H_SET = make_moduli_set([3, 5, 7, 11, 13, 1009])
+
+
+def odd_modulus(seed: int, bits: int) -> int:
+    return random.Random(seed).getrandbits(bits) | (1 << (bits - 1)) | 1
+
+
+def coprime_below(top: int, count: int) -> list[int]:
+    """The ``count`` largest integers up to ``top`` coprime to each other."""
+    chosen, product = [], 1
+    while len(chosen) < count:
+        if gcd(top, product) == 1:
+            chosen.append(top)
+            product *= top
+        top -= 1
+    return chosen
+
+
+def build(modulus, case, g_moduli, h_moduli, x_moduli):
+    """``make_context`` over g + h + x, with g and h given by their moduli."""
+    ms = make_moduli_set(g_moduli + h_moduli + x_moduli)
+    where = {m: i for i, m in enumerate(ms.moduli)}
+    return make_context(
+        ms,
+        modulus,
+        sorted(where[m] for m in g_moduli),
+        sorted(where[m] for m in h_moduli),
+        case,
+    )
+
+
+def lane_crossing_context():
+    # 16 divisor channels of 30 bits fit 64-bit lanes on their own; the
+    # shared table also peels x, and 17 terms need a 65-bit lane sum.
+    moduli = coprime_below((1 << 30) - 1, 40)
+    g_moduli = moduli[:16]
+    modulus = prod(g_moduli) + 12345
+    h_moduli, rest = [], moduli[16:]
+    while prod(g_moduli) * prod(h_moduli) < 9 * modulus**2:
+        h_moduli.append(rest.pop(0))
+    x_moduli = []
+    while 9 * prod(h_moduli) * modulus >= prod(g_moduli + h_moduli + x_moduli):
+        x_moduli.append(rest.pop(0))
+    return build(modulus, RangeCase.CASE2, g_moduli, h_moduli, x_moduli)
+
+
+SHARED = {
+    "256-30": select_context(odd_modulus(256, 256), RangeCase.CASE2, 30),
+    "1024-16": select_context(odd_modulus(1024, 1024), RangeCase.CASE2, 16),
+    "2048-30": select_context(odd_modulus(2048, 2048), RangeCase.CASE2, 30),
+    "256-62": select_context(odd_modulus(62, 256), RangeCase.CASE4, 62),
+    "wide": make_context(WIDE_SET, (1 << 100) + 277, (0,), (2, 3), RangeCase.CASE2),
+}
+
+
+def outside(ctx) -> tuple[int, ...]:
+    """x: the channels in neither g nor h, ascending."""
+    inside = set(ctx.g_indices) | set(ctx.h_indices)
+    return tuple(i for i in range(len(ctx.mset.moduli)) if i not in inside)
+
+
+def stages(ctx):
+    """Each stage's partition with the other stage's, g-stage first."""
+    g_part, h_part = ctx._g_partition, ctx._h_partition
+    return [(g_part, h_part), (h_part, g_part)]
+
+
+def lanes(value: int, width: int, count: int) -> list[int]:
+    """The low ``count`` lanes of a packed integer; nothing may sit above."""
+    assert value >> (width * count) == 0
+    return [value >> (width * i) & ((1 << width) - 1) for i in range(count)]
+
+
+@pytest.mark.parametrize("ctx", SHARED.values(), ids=SHARED.keys())
+def test_divide_rows_are_a_prefix_of_the_other_extension(ctx):
+    x = outside(ctx)
+    for part, other in stages(ctx):
+        head, table = part.divide_rows, other.extend_rows
+        k = len(part.divisor_indices)
+        assert head.peel == part.divisor_indices == table.peel[:k]
+        assert table.peel[k:] == x
+        assert table.rest == other.divisor_indices
+        assert head.rest == x + other.divisor_indices
+        assert len(head.columns) == k
+        assert all(a is b for a, b in zip(head.columns, table.columns))
+        assert head.width == table.width
+        assert list(head.inverses[:k]) == list(table.inverses[:k])
+    # Two tables per context: every column object belongs to one of them.
+    columns = {
+        id(c)
+        for part in (ctx._g_partition, ctx._h_partition)
+        for rows in (part.divide_rows, part.extend_rows)
+        for c in rows.columns
+    }
+    assert len(columns) == len(ctx.g_indices) + len(ctx.h_indices) + 2 * len(x)
+
+
+@pytest.mark.parametrize("ctx", SHARED.values(), ids=SHARED.keys())
+def test_divide_rows_match_standalone_rows(ctx):
+    ms = ctx.mset
+    for part, _ in stages(ctx):
+        head = part.divide_rows
+        alone = PeelRows(ms, part.divisor_indices, part.remaining_indices)
+        k = len(alone.peel)
+        assert sorted(head.rest) == list(alone.rest)
+        assert alone.width <= head.width <= alone.width + 8
+        # Lane position of each rest channel in the shared layout.
+        slot = {i: t for t, i in enumerate(head.rest)}
+        for l, (shared, own) in enumerate(zip(head.columns, alone.columns, strict=True)):
+            later = k - 1 - l
+            shared_lanes = lanes(shared, head.width, later + len(head.rest))
+            own_lanes = lanes(own, alone.width, later + len(alone.rest))
+            assert shared_lanes[:later] == own_lanes[:later]
+            assert [shared_lanes[later + slot[i]] for i in alone.rest] == own_lanes[later:]
+        assert list(head.inverses[:k]) == list(alone.inverses[:k])
+        assert [head.inverses[k + slot[i]] for i in alone.rest] == list(alone.inverses[k:])
+
+
+@pytest.mark.parametrize("ctx", SHARED.values(), ids=SHARED.keys())
+def test_extension_order_restores_channel_order(ctx):
+    ms = ctx.mset
+    channels = list(range(len(ms.moduli)))
+    x = encode(ms.product - 1, ms)
+    for part, _ in stages(ctx):
+        head, table = part.divide_rows, part.extend_rows
+        # The quotient hands its residues over in the divide rows' rest order.
+        q = quotient_by_moduli_product(x, part)
+        assert list(q.values) == list(head.rest)
+        assert q._known == list(q.values.values())
+        assert q._extend_rows is table
+        layout = head.rest + table.rest
+        assert [layout[t] for t in table.order] == channels
+        layout = head.peel + head.rest
+        assert [layout[t] for t in head.order] == channels
+
+
+@pytest.mark.parametrize("ctx", SHARED.values(), ids=SHARED.keys())
+def test_inverse_storage(ctx):
+    wide = ctx.mset.moduli[-1] >= 1 << 63
+    assert wide == (ctx is SHARED["wide"])
+    for part, _ in stages(ctx):
+        for rows in (part.divide_rows, part.extend_rows):
+            if wide:
+                assert type(rows.inverses) is tuple
+            else:
+                assert rows.inverses.typecode == "q"
+
+
+def check_pass(ctx, pairs):
+    """bmm against scalar modmul, every trace row against the reference."""
+    ms = ctx.mset
+    for a, b in pairs:
+        ea, eb = encode(a, ms), encode(b, ms)
+        assert decode_crt(bmm(ea, eb, ctx)) == modmul(a, b, ctx.params)
+        tr = trace_bmm(ea, eb, ctx)
+        x, d_partial, d_full, e, q_partial, q_full, c = reference_pass(ea, eb, ctx)
+        assert tr.x.values == x
+        assert tr.d_partial.values == d_partial
+        assert tr.d_full.values == d_full
+        assert tr.e.values == e
+        assert tr.q_partial.values == q_partial
+        assert tr.q_full.values == q_full
+        assert tr.c.values == c
+
+
+def operand_pairs(ctx, seed: int, count: int = 25):
+    rng = random.Random(seed)
+    limit = ctx.params.case.input_bound * ctx.params.modulus
+    top = limit - 1
+    return [(top, top), (top, 0), (0, 0)] + [
+        (rng.randrange(limit), rng.randrange(limit)) for _ in range(count)
+    ]
+
+
+EDGES = {
+    "one-g": build(10007, RangeCase.CASE2, [9973], [13, 17, 19, 23], [11]),
+    "one-h": build(10007, RangeCase.CASE4, [4, 7, 11, 13], [200087], [17]),
+    "one-g-one-h": build(1000, RangeCase.CASE1, [997], [1009], [3]),
+    "lane-crossing": lane_crossing_context(),
+}
+
+
+@pytest.mark.parametrize("ctx", EDGES.values(), ids=EDGES.keys())
+def test_edge_shapes_share_tables_and_match(ctx):
+    g_part, h_part = ctx._g_partition, ctx._h_partition
+    assert outside(ctx)
+    assert h_part.extend_rows.columns[: len(ctx.g_indices)] == g_part.divide_rows.columns
+    assert g_part.extend_rows.columns[: len(ctx.h_indices)] == h_part.divide_rows.columns
+    check_pass(ctx, operand_pairs(ctx, len(ctx.mset.moduli)))
+
+
+def test_lane_crossing_context_widens_shared_lanes():
+    ctx = EDGES["lane-crossing"]
+    ms = ctx.mset
+    part = ctx._g_partition
+    assert len(ctx.g_indices) == 16 and len(outside(ctx)) >= 1
+    assert ms.moduli[-1] < 1 << 30
+    assert part.divide_rows.width == 72
+    assert PeelRows(ms, part.divisor_indices, part.remaining_indices).width == 64
+
+
+def test_no_channel_outside_g_and_h():
+    # make_context rejects every such context: with M = g*h the capacity
+    # condition c*h*n < M needs g > n, which the divisor condition forbids.
+    # Built directly, a pass is still exact while every intermediate stays
+    # below M, which operands below sqrt(g*n) ensure.
+    ms = make_moduli_set([7, 11, 13, 17, 19, 23])
+    modulus, g_indices, h_indices = 1000, (0, 1), (2, 3, 4, 5)
+    params = make_params(modulus, 7 * 11, 13 * 17 * 19 * 23, RangeCase.CASE1)
+    assert not capacity_condition(modulus, params.h, ms.product, params.case).holds
+    ctx = RnsBarrettContext(
+        ms, params, g_indices, h_indices, encode(params.mu, ms), encode(modulus, ms)
+    )
+    assert outside(ctx) == ()
+    assert ctx._h_partition.extend_rows.columns == ctx._g_partition.divide_rows.columns
+    assert ctx._g_partition.divide_rows.rest == h_indices
+    limit = isqrt(params.g * modulus)
+    rng = random.Random(6)
+    pairs = [(limit - 1, limit - 1), (0, 0)]
+    pairs += [(rng.randrange(limit), rng.randrange(limit)) for _ in range(40)]
+    check_pass(ctx, pairs)
+
+
+def test_overlapping_and_unit_g_contexts_build_their_own_tables():
+    example4 = load_params(resources.files("rnsbarrett").joinpath("data/example4.json"))
+    unit_g = make_context(SMALL_H_SET, 40, (), (0, 1, 2, 3, 4), RangeCase.CASE2)
+    assert set(example4.g_indices) & set(example4.h_indices)
+    assert unit_g._g_partition is None
+    for ctx in (example4, unit_g):
+        ms = ctx.mset
+        for part in (ctx._g_partition, ctx._h_partition):
+            if part is None:
+                continue
+            divisors, remaining = part.divisor_indices, part.remaining_indices
+            for rows, alone in (
+                (part.divide_rows, PeelRows(ms, divisors, remaining)),
+                (part.extend_rows, PeelRows(ms, remaining, divisors)),
+            ):
+                assert (rows.peel, rows.rest) == (alone.peel, alone.rest)
+                assert rows.width == alone.width
+                assert rows.columns == alone.columns
+                assert list(rows.order) == list(alone.order)
+        check_pass(ctx, operand_pairs(ctx, 4))

@@ -30,9 +30,9 @@ from rnsbarrett import (
     select_context,
     trace_bmm,
 )
-from rnsbarrett.rns import PeelRows, _peel_division
+from rnsbarrett.rns import PeelRows
 
-from helpers import reference_peel
+from helpers import peel_division, reference_peel
 
 EX_SET = make_moduli_set([4, 5, 7, 11])
 WORD30_SET = make_moduli_set(
@@ -218,6 +218,6 @@ def test_peel_of_all_maximal_residues_matches_reference(ms):
     for peel in peel_sets(ms):
         got = list(top)
         expected = list(top)
-        assert _peel_division(ms, got, peel) == reference_peel(ms, expected, peel)
+        assert peel_division(ms, got, peel) == reference_peel(ms, expected, peel)
         assert got == expected
         assert [i for i, v in enumerate(got) if v is None] == sorted(peel)
