@@ -38,11 +38,12 @@ class OutOfRange(RnsBarrettError):
 
 
 class SetMismatch(RnsBarrettError):
-    """Residue vectors over different moduli sets were combined."""
+    """A residue vector met a vector, partition or context over another moduli set."""
 
 
-class PartitionMismatch(RnsBarrettError):
-    """A partition and a residue vector refer to different moduli sets."""
+# Older names of SetMismatch, kept so existing ``except`` clauses still match.
+PartitionMismatch = SetMismatch
+ContextMismatch = SetMismatch
 
 
 class EmptyKnownSet(RnsBarrettError):
@@ -55,10 +56,6 @@ class ConditionViolation(RnsBarrettError):
 
 class InputOutOfRange(RnsBarrettError):
     """An operand exceeds the admissible input range for its range case."""
-
-
-class ContextMismatch(RnsBarrettError):
-    """Residue vectors do not belong to the context's moduli set."""
 
 
 class CaseMismatch(RnsBarrettError):

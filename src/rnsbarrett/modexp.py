@@ -1,16 +1,62 @@
 """Modular exponentiation by repeated residue-form multiply-reduce.
 
-The exponent is scanned from the low bit upward: one running square chain
-and one accumulator, both living in residue form throughout. Every
-multiplication is a ``bmm`` call, so the context must use a closed range
-case (2 or 4); in the open cases the operands would drift out of the
-admissible input range after the first squaring.
+The exponent is scanned from the high bit downward in sliding windows over
+odd powers (Menezes, van Oorschot and Vanstone, *Handbook of Applied
+Cryptography*, Alg. 14.85). A window of width ``w`` is a run of at most
+``w`` bits that starts and ends with a one; the zeros between windows are
+single squarings. The table ``x, x^3, ..., x^(2^w - 1)`` costs one squaring
+plus ``2^(w-1) - 1`` multiplies, the first window is a table lookup, and
+each later window costs one multiply after the squarings that shift it in.
+
+For each width from 1 to ``MAX_WIDTH`` the exact number of passes this
+exponent needs is counted, which is cheap integer work against one pass,
+and the smallest count wins, the smaller width on a tie. Short exponents
+such as 65537 therefore stay binary, and the table holds at most
+``2^(MAX_WIDTH-1)`` vectors.
+
+Every multiplication is a ``bmm`` call, so the context must use a closed
+range case (2 or 4); in the open cases the operands would drift out of the
+admissible input range after the first squaring. Every table entry and
+every chain value is a ``bmm`` output and so stays in that range.
 """
+
+import re
 
 from .barrett import final_correct
 from .errors import CaseMismatch, InputOutOfRange
 from .rns import ResidueVector, decode_crt, encode
 from .rns_barrett import RnsBarrettContext, bmm
+
+MAX_WIDTH = 6
+
+# A window of width w: a one, then, greedily, up to w - 2 bits and a closing
+# one. ``_WINDOW[w - 1].finditer`` over the binary digits yields the windows
+# of Alg. 14.85 from the most significant one down, skipping the zeros.
+_WINDOW = tuple(
+    re.compile("1" if width == 1 else f"1(?:[01]{{0,{width - 2}}}1)?")
+    for width in range(1, MAX_WIDTH + 1)
+)
+
+
+def _passes(digits: str, width: int) -> int:
+    """``bmm`` passes at ``width``: the table, one squaring per bit below the
+    first window, and one multiply per later window."""
+    found = _WINDOW[width - 1].findall(digits)
+    table = 1 << (width - 1) if width > 1 else 0
+    return table + len(digits) - len(found[0]) + len(found) - 1
+
+
+def window_plan(exponent: int) -> tuple[int, list[tuple[int, int]]]:
+    """The width with the fewest passes for a positive ``exponent``, and its windows.
+
+    On a tie the smaller width wins. Each window is ``(value, end)``, most
+    significant first: ``value`` is odd and ``end`` is the index in
+    ``format(exponent, "b")`` just past the window's lowest bit.
+    """
+    digits = format(exponent, "b")
+    width = min(range(1, MAX_WIDTH + 1), key=lambda w: _passes(digits, w))
+    windows = [(int(m[0], 2), m.end()) for m in _WINDOW[width - 1].finditer(digits)]
+    return width, windows
 
 
 def bmm_modexp(
@@ -28,9 +74,9 @@ def bmm_modexp(
     because an out-of-range base is a caller bug this library cannot repair
     meaningfully.
 
-    ``check_intermediates`` decodes every intermediate operand and raises
-    AssertionError if one leaves the closed range; it exists for tests and
-    costs one decode per multiply.
+    ``check_intermediates`` decodes every table entry and every chain value
+    and raises AssertionError if one leaves the closed range; it exists for
+    tests and costs one decode per multiply.
     """
     case = ctx.params.case
     if not case.closed:
@@ -42,18 +88,30 @@ def bmm_modexp(
     limit = case.input_bound * ctx.params.modulus
     if decode_crt(x) >= limit:
         raise InputOutOfRange(f"decoded base not below {limit}")
+    if exponent == 0:
+        return encode(1, ctx.mset)
 
     def _checked(rv: ResidueVector) -> ResidueVector:
         if check_intermediates and decode_crt(rv) >= limit:
             raise AssertionError("intermediate left the closed range")
         return rv
 
-    y = x if exponent & 1 else encode(1, ctx.mset)
-    power = x
-    for j in range(1, exponent.bit_length()):
-        power = _checked(bmm(power, power, ctx))
-        if (exponent >> j) & 1:
-            y = _checked(bmm(y, power, ctx))
+    width, windows = window_plan(exponent)
+    odd_powers = [x]
+    if width > 1:
+        square = _checked(bmm(x, x, ctx))
+        for _ in range((1 << (width - 1)) - 1):
+            odd_powers.append(_checked(bmm(odd_powers[-1], square, ctx)))
+
+    value, done = windows[0]
+    y = odd_powers[value >> 1]
+    for value, end in windows[1:]:
+        for _ in range(end - done):
+            y = _checked(bmm(y, y, ctx))
+        y = _checked(bmm(y, odd_powers[value >> 1], ctx))
+        done = end
+    for _ in range(exponent.bit_length() - done):
+        y = _checked(bmm(y, y, ctx))
     return y
 
 

@@ -32,7 +32,7 @@ round. Two tables per context, not four.
 from dataclasses import dataclass, field
 from math import prod
 
-from .errors import PartitionMismatch
+from .errors import SetMismatch
 from .rns import (
     ModuliSet,
     PartialResidueVector,
@@ -153,7 +153,7 @@ def quotient_by_moduli_product(
     """
     mset = part.mset
     if x.mset is not mset and x.mset != mset:
-        raise PartitionMismatch("partition and vector use different moduli sets")
+        raise SetMismatch("partition and vector use different moduli sets")
     rows = part.divide_rows
     quotient = _peel(rows, mset.moduli, x.values)[1]
     return PartialResidueVector._reduced(

@@ -20,7 +20,7 @@ from math import prod
 
 from .barrett import BarrettParams, RangeCase, capacity_condition, make_params
 from .base_extension import base_extend
-from .errors import ConditionViolation, ContextMismatch, int_text
+from .errors import ConditionViolation, SetMismatch, int_text
 from .quotient import ModuliPartition, quotient_by_moduli_product
 from .rns import ModuliSet, PartialResidueVector, ResidueVector, encode
 
@@ -153,7 +153,7 @@ def _multiply_reduce(a: ResidueVector, b: ResidueVector, ctx: RnsBarrettContext)
     """One pass; returns StepTrace's fields in order, d_partial None if g = 1."""
     mset = ctx.mset
     if (a.mset is not mset and a.mset != mset) or (b.mset is not mset and b.mset != mset):
-        raise ContextMismatch("operands do not belong to the context's moduli set")
+        raise SetMismatch("operands do not belong to the context's moduli set")
     x = a * b
     if ctx._g_partition is None:
         # g = 1: the first quotient is x itself, already known everywhere.

@@ -6,10 +6,14 @@ runtime ceiling.
 """
 
 import itertools
+import json
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from math import prod
+from pathlib import Path
 
 from rnsbarrett import (
     PartialResidueVector,
@@ -33,7 +37,6 @@ from rnsbarrett import (
     quotient_steps,
     trace_bmm,
 )
-from rnsbarrett.bench import write_report
 
 from helpers import COPRIME_POOL, random_context
 
@@ -218,11 +221,19 @@ def test_criterion_8_classic_specialization():
                 estimate_quotient(x, p)
 
 
-def test_criterion_9_benchmark_report(tmp_path):
+def test_criterion_9_benchmark_report():
+    # The repository benchmark, traced for half a second, reports the
+    # residue pass beside scalar Barrett, Montgomery and the builtin %.
+    run_py = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
     with criterion(9, "benchmark report generates"):
-        path = tmp_path / "benchmark.md"
-        report = write_report(path, bit_sizes=(64, 128, 256), iterations=30)
-        assert path.exists()
-        for needle in ("| 64 |", "| 128 |", "| 256 |",
-                       "scalar Barrett", "RNS BMM", "Montgomery"):
-            assert needle in report
+        out = subprocess.run(
+            [sys.executable, str(run_py), "--workload", "mul-256", "--seed", "1",
+             "--seconds", "0.5", "--trace", "1"],
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        result = json.loads(out.splitlines()[-1])
+        assert result["correct"] and result["failed"] == 0
+        for name in ("rns_barrett.bmm_us", "barrett.scalar_modmul_us",
+                     "reference.montgomery_modmul_us",
+                     "reference.builtin_mulmod_us", "ratio.bmm_per_montgomery"):
+            assert result["metrics"][name]["value"] > 0

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, parameter files, traces, exit codes."""
 
+import random
 from importlib import resources
 
 from rnsbarrett import dump_params, load_params, parse_params, select_context
@@ -87,6 +88,15 @@ class TestModexp:
         )
         assert code == 0
         assert out.strip() == str(pow(1234567890123, 987654321, n))
+
+    def test_512_bit_modulus_64_bit_exponent(self, capsys):
+        rng = random.Random(512)
+        n = rng.getrandbits(512) | 1 << 511 | 1
+        x = rng.randrange(n)
+        e = rng.getrandbits(64) | 1 << 63
+        code, out, _ = run(capsys, "modexp", "--modulus", str(n), str(x), str(e))
+        assert code == 0
+        assert out.strip() == str(pow(x, e, n))
 
 
 class TestParams:

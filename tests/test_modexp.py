@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import rnsbarrett.modexp
 from rnsbarrett import (
     CaseMismatch,
     InputOutOfRange,
@@ -17,6 +18,7 @@ from rnsbarrett import (
     oracle_modexp,
     select_context,
 )
+from rnsbarrett.modexp import MAX_WIDTH, window_plan
 
 from helpers import random_context
 
@@ -94,3 +96,150 @@ def test_final_result_reduces_representatives():
     assert final_result(encode(23, ctx.mset), ctx) == 2
     assert final_result(encode(0, ctx.mset), ctx) == 0
     assert final_result(encode(2 * n + 5, ctx.mset), ctx) == 5
+
+
+def hac_passes(exponent: int, width: int) -> int:
+    """Passes of Alg. 14.85 at ``width``, walking the exponent bit by bit."""
+    bit = [(exponent >> i) & 1 for i in range(exponent.bit_length())]
+    passes = 1 << (width - 1) if width > 1 else 0
+    first = True
+    i = len(bit) - 1
+    while i >= 0:
+        if not bit[i]:
+            passes += 1
+            i -= 1
+            continue
+        low = max(i - width + 1, 0)
+        while not bit[low]:
+            low += 1
+        if not first:
+            passes += (i - low + 1) + 1
+        first = False
+        i = low - 1
+    return passes
+
+
+def right_to_left_passes(exponent: int) -> int:
+    """Passes of the binary chain scanned from the low bit upward."""
+    return exponent.bit_length() - 1 + bin(exponent >> 1).count("1")
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts every ``bmm`` call that ``bmm_modexp`` makes."""
+    count = [0]
+    real = rnsbarrett.modexp.bmm
+
+    def counting(a, b, ctx):
+        count[0] += 1
+        return real(a, b, ctx)
+
+    monkeypatch.setattr(rnsbarrett.modexp, "bmm", counting)
+    return count
+
+
+def test_65537_stays_binary(passes):
+    ctx = case2_context()
+    y = bmm_modexp(encode(5, ctx.mset), 65537, ctx)
+    assert final_result(y, ctx) == pow(5, 65537, 21)
+    assert passes[0] == 17
+    assert window_plan(65537)[0] == 1
+
+
+def test_exponents_zero_and_one_make_no_pass(passes):
+    ctx = case2_context()
+    x = encode(20, ctx.mset)
+    assert bmm_modexp(x, 0, ctx) == encode(1, ctx.mset)
+    assert bmm_modexp(x, 1, ctx) is x
+    assert passes[0] == 0
+
+
+def test_64_bit_exponents_take_the_fewest_passes(passes):
+    rng = random.Random(64)
+    n = rng.getrandbits(512) | 1 << 511 | 1
+    ctx = select_context(n, RangeCase.CASE2)
+    for _ in range(12):
+        x = rng.randrange(3 * n)
+        e = rng.getrandbits(64) | 1 << 63
+        passes[0] = 0
+        y = bmm_modexp(encode(x, ctx.mset), e, ctx)
+        assert final_result(y, ctx) == pow(x, e, n)
+        width = window_plan(e)[0]
+        assert passes[0] == hac_passes(e, width)
+        assert passes[0] == min(hac_passes(e, w) for w in range(1, MAX_WIDTH + 1))
+        assert passes[0] <= right_to_left_passes(e)
+
+
+def test_windows_rebuild_the_exponent():
+    rng = random.Random(66)
+    for e in [1, 2, 3, 65537] + [rng.getrandbits(rng.randint(1, 700)) | 1
+                                  for _ in range(200)]:
+        width, windows = window_plan(e)
+        assert 1 <= width <= MAX_WIDTH
+        rebuilt = 0
+        for value, end in windows:
+            assert value & 1 and value < 1 << width
+            rebuilt += value << (e.bit_length() - end)
+        assert rebuilt == e
+
+
+def _width_changes(limit=500):
+    """``k`` at which the chosen width for ``2^k - 1`` changes."""
+    changes, last = [], None
+    for k in range(1, limit):
+        width = window_plan((1 << k) - 1)[0]
+        if width != last:
+            changes.append(k)
+            last = width
+    return changes
+
+
+@pytest.mark.parametrize("case", [2, 4])
+def test_small_exponents_against_pow(case):
+    rng = random.Random(600 + case)
+    ctx = random_context(rng, cases=(case,), max_bits=40)
+    n = ctx.params.modulus
+    bound = ctx.params.case.input_bound * n
+    for e in range(601):
+        x = rng.randrange(bound)
+        y = bmm_modexp(encode(x, ctx.mset), e, ctx, check_intermediates=True)
+        assert final_result(y, ctx) == pow(x, e, n), e
+
+
+@pytest.mark.parametrize("case", [2, 4])
+def test_exponents_at_width_changes_against_pow(case):
+    rng = random.Random(700 + case)
+    ctx = random_context(rng, cases=(case,), max_bits=40)
+    n = ctx.params.modulus
+    bound = ctx.params.case.input_bound * n
+    changes = _width_changes()
+    widths = {window_plan((1 << k) - 1)[0] for k in changes}
+    assert widths == set(range(1, MAX_WIDTH + 1))
+    for k in changes:
+        for e in {(1 << j) + d for j in (k - 1, k) for d in (-1, 0, 1)}:
+            x = rng.randrange(bound)
+            y = bmm_modexp(encode(x, ctx.mset), e, ctx, check_intermediates=True)
+            assert final_result(y, ctx) == pow(x, e, n), e
+
+
+def test_check_intermediates_covers_the_table(monkeypatch):
+    rng = random.Random(67)
+    n = rng.getrandbits(128) | 1 << 127 | 1
+    ctx = select_context(n, RangeCase.CASE2)
+    e = rng.getrandbits(64) | 1 << 63
+    width = window_plan(e)[0]
+    assert width > 1
+    out_of_range = encode(ctx.params.case.input_bound * n, ctx.mset)
+    x = encode(rng.randrange(n), ctx.mset)
+    real = rnsbarrett.modexp.bmm
+    for bad in range(1, (1 << (width - 1)) + 1):
+        calls = [0]
+
+        def corrupting(a, b, ctx):
+            calls[0] += 1
+            return out_of_range if calls[0] == bad else real(a, b, ctx)
+
+        monkeypatch.setattr(rnsbarrett.modexp, "bmm", corrupting)
+        with pytest.raises(AssertionError):
+            bmm_modexp(x, e, ctx, check_intermediates=True)
+        assert calls[0] == bad

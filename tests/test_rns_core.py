@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnsbarrett import (
+    ContextMismatch,
     DuplicateOrNonCoprime,
     ModuliPartition,
     ModulusTooSmall,
     OutOfRange,
+    PartitionMismatch,
     ResidueVector,
     SetMismatch,
     decode_crt,
@@ -166,6 +168,10 @@ class TestElementwise:
         other = make_moduli_set([3, 5])
         with pytest.raises(SetMismatch):
             encode(1, EX_SET) + encode(1, other)
+
+    def test_mismatch_names_are_one_class(self):
+        assert PartitionMismatch is SetMismatch
+        assert ContextMismatch is SetMismatch
 
     def test_homomorphism_random(self):
         ms = make_moduli_set([7, 9, 11, 13, 25])
