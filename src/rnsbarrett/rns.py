@@ -11,6 +11,7 @@ being at least 2); the product M and any decoded integer are ordinary
 Python integers of arbitrary size.
 """
 
+import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
@@ -218,7 +219,7 @@ def encode(x: int, ms: ModuliSet) -> ResidueVector:
     """Residues of x on every channel. Requires 0 <= x < M."""
     if x < 0 or x >= ms.product:
         raise OutOfRange(f"{int_text(x)} is not in [0, {int_text(ms.product)})")
-    return ResidueVector(tuple(x % m for m in ms.moduli), ms)
+    return ResidueVector._reduced(tuple(x % m for m in ms.moduli), ms)
 
 
 def decode_crt(rv: ResidueVector) -> int:
@@ -240,6 +241,26 @@ def _store(moduli):
     is at least 2**63.
     """
     return partial(array, "q") if moduli[-1] < 1 << 63 else tuple
+
+
+def _pack(lanes, size: int):
+    """``lanes`` as consecutive ``size``-byte little-endian integers.
+
+    An ``array("Q")`` of lanes is spread in ``min(8, size)`` strided slice
+    assignments, one per byte of a lane (on a big-endian host the array is
+    byte-swapped in place first); a list of wider lanes is packed one lane
+    at a time.
+    """
+    if not isinstance(lanes, array):
+        return b"".join(map(int.to_bytes, lanes, repeat(size), repeat("little")))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    # Strided slices of bytes are much faster than of a memoryview.
+    raw = lanes.tobytes()
+    packed = bytearray(len(lanes) * size)
+    for byte in range(min(8, size)):
+        packed[byte::size] = raw[byte::8]
+    return packed
 
 
 def _order(layout) -> array:
@@ -267,9 +288,15 @@ class PeelRows:
     (``width`` bits each, lowest first) are P_l mod p_j for each j > l in
     peel order, then P_l mod m_i for each rest channel. Each term of a lane
     sum is below (max modulus - 1)**2, so with ``width`` the bit length of
-    K times that bound, rounded up to whole bytes for ``int.to_bytes``, no
-    lane sum carries into the next. ``inverses`` holds P_j^-1 mod p_j, then
-    P_K^-1 mod m_i.
+    K times that bound, rounded up to whole bytes, no lane sum carries into
+    the next. ``inverses`` holds P_j^-1 mod p_j, then P_K^-1 mod m_i.
+
+    The table is packed in one flat pass: every column's lanes go, in
+    column order, into one unsigned 64-bit array, which ``_pack`` spreads
+    into ``width``-bit lanes of one byte buffer; each column is then read
+    out of its slice of that buffer. Lanes are below the largest modulus,
+    so a set with a modulus above 2**64 packs a list of lanes one at a
+    time instead.
 
     ``order`` is the permutation that puts values laid out as the peeled
     channels in ``handover`` order, then the rest channels in rest order,
@@ -304,14 +331,21 @@ class PeelRows:
         # to be peeled first; one map per peeled modulus steps l.
         targets = peeled + [moduli[i] for i in self.rest]
         lanes = [1] * len(targets)
-        inverses, columns = [], []
+        # Every lane is below the largest modulus, so it fits an unsigned
+        # 64-bit array unless some modulus exceeds 2**64.
+        flat = array("Q") if moduli[-1] <= 1 << 64 else []
+        inverses, ends = [], []
         for q in peeled:
             inverses.append(pow(lanes[0], -1, q))
             del lanes[0], targets[0]
-            packed = b"".join(map(int.to_bytes, lanes, repeat(size), repeat("little")))
-            columns.append(int.from_bytes(packed, "little"))
+            flat.extend(lanes)
+            ends.append(len(flat) * size)
             lanes = list(map(mod, map(mul, lanes, repeat(q)), targets))
-        self.columns = tuple(columns)
+        packed = memoryview(_pack(flat, size))
+        self.columns = tuple(
+            int.from_bytes(packed[start:end], "little")
+            for start, end in zip([0, *ends], ends)
+        )
         inverses.extend(map(pow, lanes, repeat(-1), targets))
         self.inverses = _store(moduli)(inverses)
         handover = self.peel if handover is None else tuple(handover)

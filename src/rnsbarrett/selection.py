@@ -3,11 +3,17 @@
 The conditions leave wide freedom, so this module just has to find one
 valid configuration, not a good one. Strategy: walk candidate moduli
 downward from 2**word_bits - 1, keeping only values coprime to everything
-chosen so far (one gcd against the running product of the chosen moduli).
-First grow g as large as its case bound allows, then grow h until g*h
-clears the product bound, then append further moduli until the capacity
-condition holds. The result is revalidated by ``make_context``, so a bug
-here cannot hand out an unsound context.
+chosen so far. First grow g as large as its case bound allows, then grow h
+until g*h clears the product bound, then append further moduli until the
+capacity condition holds. The result is revalidated by ``make_context``,
+so a bug here cannot hand out an unsound context.
+
+Coprimality is one gcd against the running product of the chosen moduli,
+thousands of bits at large moduli. Most rejected candidates share a prime
+below 256 with a chosen modulus, so the walk first takes a gcd against the
+product of just those primes (at most 335 bits) and runs the long gcd only
+on the candidates that pass. A hit of the short gcd is a true common
+factor, so the walk picks exactly the moduli the long gcd alone would.
 """
 
 from math import gcd
@@ -21,12 +27,28 @@ from .rns_barrett import RnsBarrettContext, make_context
 MAX_MODULI = 512
 
 
-def _next_coprime(candidate: int, product: int) -> int:
+def _primorial(limit: int) -> int:
+    """The product of the primes below ``limit``."""
+    product = 1
+    for n in range(2, limit):
+        if gcd(n, product) == 1:  # no smaller prime divides n
+            product *= n
+    return product
+
+
+# The primes below 256, whose product has 335 bits.
+_SMALL_PRIMES = _primorial(256)
+
+
+def _next_coprime(candidate: int, product: int, small: int) -> int:
     """The largest integer up to ``candidate`` coprime to ``product``.
 
-    Returns 1 (or less) when no candidate of at least 2 is left.
+    ``small`` is the product of the primes in ``_SMALL_PRIMES`` that divide
+    ``product``. A candidate sharing one of them is rejected by a short gcd
+    against ``small``; only the others take the long gcd against
+    ``product``. Returns 1 (or less) when no candidate of at least 2 is left.
     """
-    while gcd(candidate, product) != 1:
+    while gcd(candidate, small) != 1 or gcd(candidate, product) != 1:
         candidate -= 1
     return candidate
 
@@ -56,20 +78,23 @@ def select_context(
         )
 
     # ``product`` is the product of ``chosen``; g and h never share a modulus.
+    # ``small`` is the product of the primes below 256 that divide it.
     chosen: list[int] = []
-    product = 1
+    product = small = 1
 
     def take(cand: int) -> None:
-        nonlocal product
+        nonlocal product, small
         chosen.append(cand)
         product *= cand
+        # cand is coprime to product, so it brings only new small primes.
+        small *= gcd(cand, _SMALL_PRIMES)
         if len(chosen) > MAX_MODULI:
             raise SelectionFailed(f"exceeded budget of {MAX_MODULI} moduli")
 
     cand = top
     while True:
         # Candidates above g_cap // g would overshoot the bound; skip them.
-        cand = _next_coprime(min(cand, g_cap // product), product)
+        cand = _next_coprime(min(cand, g_cap // product), product, small)
         if cand < 2:
             break
         take(cand)
@@ -81,7 +106,7 @@ def select_context(
     goal = case.product_factor * modulus * modulus
     cand = top
     while not (product > goal if case.strict_product else product >= goal):
-        cand = _next_coprime(cand, product)
+        cand = _next_coprime(cand, product, small)
         if cand < 2:
             raise SelectionFailed(
                 f"ran out of coprime candidates below 2^{word_bits} while building h"
@@ -93,7 +118,7 @@ def select_context(
 
     capacity_goal = case.capacity_factor * h_value * modulus
     while product <= capacity_goal:
-        cand = _next_coprime(cand, product)
+        cand = _next_coprime(cand, product, small)
         if cand < 2:
             raise SelectionFailed(
                 f"ran out of coprime candidates below 2^{word_bits} "

@@ -2,11 +2,12 @@
 
 import hashlib
 import random
+from math import gcd, prod
 
 import pytest
 
 from rnsbarrett import RangeCase, SelectionFailed, select_context
-from rnsbarrett.selection import MAX_MODULI
+from rnsbarrett.selection import MAX_MODULI, _next_coprime
 
 
 def assert_sound(ctx, n, case):
@@ -100,6 +101,14 @@ def test_case_by_number():
          "2920354c604f87e429f844ff8ea6dba6"),
         (2048, 4, 30, (139, 69, 69), (73, 1073741823),
          "5df11286170a0b47874ae77fad50872e"),
+        # Every candidate is below 256, so the chosen moduli include the
+        # primes the walk prefilters with.
+        (8, 1, 6, (5, 2, 2), (2, 63),
+         "acf49603a86a0c636dd471d8a594af70"),
+        (32, 2, 6, (14, 5, 7), (17, 63),
+         "2d5b85c433136232cd99f6d269cda8ef"),
+        (96, 3, 8, (27, 12, 14), (137, 255),
+         "eedf5e0e33886e41ee81cf9f14a4c1b3"),
     ],
 )
 def test_selection_is_pinned(bits, case, word_bits, shape, ends, digest):
@@ -112,3 +121,23 @@ def test_selection_is_pinned(bits, case, word_bits, shape, ends, digest):
     assert (moduli[0], moduli[-1]) == ends
     key = repr((moduli, ctx.g_indices, ctx.h_indices)).encode()
     assert hashlib.sha256(key).hexdigest()[:32] == digest
+
+
+def test_next_coprime_matches_plain_walk():
+    # The small-prime prefilter must not change the walk: against products
+    # of primes below and above 256, every candidate lands where a plain
+    # gcd walk lands.
+    primes = [p for p in range(2, 1 << 12) if all(p % d for d in range(2, p))]
+    below = [p for p in primes if p < 256]
+    above = [p for p in primes if p > 256]
+    rng = random.Random(256)
+    for _ in range(200):
+        factors = rng.sample(below, rng.randrange(len(below) + 1))
+        factors += rng.sample(above, rng.randrange(40))
+        product = prod(factors)
+        small = prod(p for p in factors if p < 256)
+        for candidate in (rng.randrange(2, 1 << 12), rng.randrange(2, 1 << 30)):
+            plain = candidate
+            while gcd(plain, product) != 1:
+                plain -= 1
+            assert _next_coprime(candidate, product, small) == plain

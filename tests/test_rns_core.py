@@ -75,12 +75,22 @@ class TestModuliSet:
         # peeled channel l (the later peeled channels in peel order, then the
         # rest channels); each stored inverse times its prefix product is 1
         # mod the channel; ``order`` maps the peel-then-rest layout back to
-        # ascending channels.
+        # ascending channels. The sets span the packing boundaries: lanes of
+        # at most 8 bytes (ex, word30), lanes wider than 8 bytes (word62),
+        # 64-bit lanes whose inverses need a tuple (word64), and moduli above
+        # 2**64, whose lanes are packed one at a time (wide).
         word30 = make_moduli_set(
             [(1 << 30) - 1, (1 << 30) - 3, (1 << 30) - 5, (1 << 30) - 35, (1 << 30) - 41]
         )
+        word62 = make_moduli_set([(1 << 62) - d for d in (1, 3, 5, 9, 11)])
+        word64 = make_moduli_set([(1 << 64) - d for d in (1, 3, 5, 9, 15)])
+        wide = make_moduli_set(
+            [(1 << 61) - 1, (1 << 89) - 1, (1 << 107) - 1, (1 << 127) - 1]
+        )
         partitions = [ModuliPartition(EX_SET, sub) for sub in ((0,), (1, 3), (0, 1, 2))]
-        partitions += [ModuliPartition(word30, sub) for sub in ((2,), (0, 3), (1, 2, 4))]
+        for ms in (word30, word62, word64):
+            partitions += [ModuliPartition(ms, sub) for sub in ((2,), (0, 3), (1, 2, 4))]
+        partitions += [ModuliPartition(wide, sub) for sub in ((0,), (1, 3), (0, 1, 2))]
         for part in partitions:
             moduli = part.mset.moduli
             for rows in (part.divide_rows, part.extend_rows):
@@ -101,7 +111,10 @@ class TestModuliSet:
                     assert rows.inverses[j] * prod(peeled[:j]) % m == 1
                 for i, m in enumerate(rest):
                     assert rows.inverses[count + i] * prod(peeled) % m == 1
-                assert rows.inverses.typecode == "q"
+                if moduli[-1] < 1 << 63:
+                    assert rows.inverses.typecode == "q"
+                else:
+                    assert type(rows.inverses) is tuple
                 assert len(rows.inverses) == count + len(rest)
                 # The permutation puts peel-then-rest values in channel order.
                 layout = rows.peel + rows.rest
