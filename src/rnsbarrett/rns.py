@@ -3,8 +3,10 @@
 An integer in [0, M) is represented by its remainders modulo n pairwise
 coprime moduli whose product is M. Addition, subtraction and multiplication
 then act channel by channel with no carries between channels. Decoding back
-to an ordinary integer uses the classic remainder-theorem weights; decoding
-to mixed-radix digits stays entirely in channel arithmetic.
+to an ordinary integer uses the classic remainder-theorem weights, one word
+per channel, folded over prefix products of the moduli, so nothing
+full-width is stored per channel; decoding to mixed-radix digits stays
+entirely in channel arithmetic.
 
 Moduli are expected to be machine-word sized (they are validated only as
 being at least 2); the product M and any decoded integer are ordinary
@@ -33,13 +35,14 @@ class ModuliSet:
     """An ascending tuple of pairwise coprime moduli plus its decoding weights.
 
     Instances are immutable after construction and safe to share between
-    threads. Construction precomputes the decoding weights only. The inverses
+    threads. Construction precomputes the decoding weights only, one word
+    per channel; the only full-width integer kept is the product. The inverses
     that channel peeling needs depend on which channels are peeled, so they
     live in ``PeelRows``, which each context or ``ModuliPartition`` builds
     once and ad-hoc callers build per call.
     """
 
-    __slots__ = ("moduli", "product", "crt_weights", "_crt_terms")
+    __slots__ = ("moduli", "product", "crt_weights")
 
     def __init__(self, moduli):
         if not moduli:
@@ -61,17 +64,8 @@ class ModuliSet:
                         )
         self.moduli = ordered
         self.product = product
-        # Decoding weight w_i solves w_i * (M / m_i) == 1 (mod m_i); the
-        # stored term w_i * (M / m_i) is what the decode sum actually uses.
-        weights = []
-        terms = []
-        for m in ordered:
-            cofactor = product // m
-            w = pow(cofactor, -1, m)
-            weights.append(w)
-            terms.append(w * cofactor)
-        self.crt_weights = tuple(weights)
-        self._crt_terms = tuple(terms)
+        # Decoding weight w_i solves w_i * (M / m_i) == 1 (mod m_i).
+        self.crt_weights = tuple(pow(product // m, -1, m) for m in ordered)
 
     def __len__(self) -> int:
         return len(self.moduli)
@@ -225,13 +219,18 @@ def encode(x: int, ms: ModuliSet) -> ResidueVector:
 def decode_crt(rv: ResidueVector) -> int:
     """The unique integer in [0, M) with the vector's residues.
 
-    Accumulates the weighted sum exactly and reduces modulo M once at the
-    end; no channel information is consulted beyond the residues themselves.
+    Sums y_i * M / m_i with y_i = v_i * w_i mod m_i, without any stored
+    cofactor: the sum is folded over the prefix products of the moduli,
+    each step scaling the terms so far by the next modulus and adding the
+    new term times the product of the moduli before it. The sum is exact
+    and reduced modulo M once at the end.
     """
-    total = 0
-    for v, term in zip(rv.values, rv.mset._crt_terms):
-        total += v * term
-    return total % rv.mset.product
+    ms = rv.mset
+    total, place = 0, 1
+    for v, w, m in zip(rv.values, ms.crt_weights, ms.moduli):
+        total = total * m + v * w % m * place
+        place *= m
+    return total % ms.product
 
 
 def _store(moduli):
@@ -358,6 +357,9 @@ class PeelRows:
         the width is this table's, which may be a byte wider than rows built
         for k channels need. The first k inverses are this table's too; only
         the rest inverses P_k^-1 mod m_i and ``order`` are computed here.
+        On the channels of ``peel[k:]`` each is a modular inverse. On this
+        table's rest channels it is the stored P_K^-1 times the tail
+        product of ``peel[k:]``, since P_K is P_k times that tail.
         """
         moduli = ms.moduli
         rows = object.__new__(PeelRows)
@@ -365,10 +367,19 @@ class PeelRows:
         rows.rest = self.peel[k:] + self.rest
         rows.columns = self.columns[:k]
         rows.width = self.width
-        targets = [moduli[i] for i in rows.rest]
+        kept = [moduli[i] for i in self.peel[k:]]
         place = prod(moduli[i] for i in rows.peel)
+        tail = prod(kept)
+        rest = [moduli[i] for i in self.rest]
         rows.inverses = _store(moduli)(
-            [*self.inverses[:k], *map(pow, repeat(place), repeat(-1), targets)]
+            [
+                *self.inverses[:k],
+                *map(pow, repeat(place), repeat(-1), kept),
+                *(
+                    inverse * (tail % t) % t
+                    for inverse, t in zip(self.inverses[len(self.peel):], rest)
+                ),
+            ]
         )
         rows.order = _order(self.peel + self.rest)
         return rows

@@ -1,12 +1,24 @@
 """Shared generators and reference computations for the test suite."""
 
 import random
+from math import gcd
 
 from rnsbarrett import RangeCase, ResidueVector, SelectionFailed, select_context
 from rnsbarrett.rns import PeelRows, _peel
 
 # Distinct prime powers: any subset is pairwise coprime.
 COPRIME_POOL = (4, 9, 25, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def coprime_below(top: int, count: int) -> list[int]:
+    """The ``count`` largest integers up to ``top`` coprime to each other."""
+    chosen, product = [], 1
+    while len(chosen) < count:
+        if gcd(top, product) == 1:
+            chosen.append(top)
+            product *= top
+        top -= 1
+    return chosen
 
 
 def random_modulus(rng: random.Random, max_bits: int, min_value: int = 2) -> int:

@@ -1,6 +1,7 @@
 """Moduli sets, residue vectors, decoding, and mixed-radix conversion."""
 
 import random
+import tracemalloc
 from math import prod
 
 import pytest
@@ -14,17 +15,66 @@ from rnsbarrett import (
     ModulusTooSmall,
     OutOfRange,
     PartitionMismatch,
+    RangeCase,
     ResidueVector,
     SetMismatch,
     decode_crt,
     encode,
     make_moduli_set,
+    select_context,
     to_mixed_radix,
 )
+from rnsbarrett.rns import PeelRows, _order
 
-from helpers import COPRIME_POOL
+from helpers import COPRIME_POOL, coprime_below
 
 EX_SET = make_moduli_set([4, 5, 7, 11])
+WORD30_SET = make_moduli_set(
+    [(1 << 30) - 1, (1 << 30) - 3, (1 << 30) - 5, (1 << 30) - 35, (1 << 30) - 41]
+)
+WORD62_SET = make_moduli_set([(1 << 62) - d for d in (1, 3, 5, 9, 11)])
+WORD64_SET = make_moduli_set([(1 << 64) - d for d in (1, 3, 5, 9, 15)])
+# Mersenne primes, every one but the first wider than 64 bits.
+WIDE_SET = make_moduli_set([(1 << 61) - 1, (1 << 89) - 1, (1 << 107) - 1, (1 << 127) - 1])
+
+
+def _selected_sets():
+    """The moduli set of every context ``select_context`` builds at 256 bits
+    with 30-bit words, 1024 with 16 and 2048 with 30, one per range case."""
+    sets = {}
+    for bits, word_bits in ((256, 30), (1024, 16), (2048, 30)):
+        n = random.Random(bits).getrandbits(bits) | 1 << (bits - 1) | 1
+        for case in RangeCase:
+            ctx = select_context(n, case, word_bits)
+            sets[f"{bits}-{word_bits}-case{case.value}"] = ctx.mset
+    return sets
+
+
+DECODE_SETS = {
+    "single-2": make_moduli_set([2]),
+    "single-97": make_moduli_set([97]),
+    "single-wide": make_moduli_set([(1 << 127) - 1]),
+    "ex": EX_SET,
+    "word62": WORD62_SET,
+    "wide": WIDE_SET,
+    **_selected_sets(),
+}
+
+
+def crt_reference(values, ms) -> int:
+    """The remainder-theorem sum with weights and cofactors computed here."""
+    big = ms.product
+    return sum(
+        v * pow(big // m, -1, m) * (big // m) for v, m in zip(values, ms.moduli)
+    ) % big
+
+
+@st.composite
+def decode_inputs(draw):
+    ms = draw(st.sampled_from(list(DECODE_SETS.values())))
+    values = draw(st.tuples(*(st.integers(0, m - 1) for m in ms.moduli)))
+    return ms, values
+
 
 coprime_sets = st.lists(
     st.sampled_from(COPRIME_POOL), min_size=1, max_size=6, unique=True
@@ -79,18 +129,10 @@ class TestModuliSet:
         # at most 8 bytes (ex, word30), lanes wider than 8 bytes (word62),
         # 64-bit lanes whose inverses need a tuple (word64), and moduli above
         # 2**64, whose lanes are packed one at a time (wide).
-        word30 = make_moduli_set(
-            [(1 << 30) - 1, (1 << 30) - 3, (1 << 30) - 5, (1 << 30) - 35, (1 << 30) - 41]
-        )
-        word62 = make_moduli_set([(1 << 62) - d for d in (1, 3, 5, 9, 11)])
-        word64 = make_moduli_set([(1 << 64) - d for d in (1, 3, 5, 9, 15)])
-        wide = make_moduli_set(
-            [(1 << 61) - 1, (1 << 89) - 1, (1 << 107) - 1, (1 << 127) - 1]
-        )
         partitions = [ModuliPartition(EX_SET, sub) for sub in ((0,), (1, 3), (0, 1, 2))]
-        for ms in (word30, word62, word64):
+        for ms in (WORD30_SET, WORD62_SET, WORD64_SET):
             partitions += [ModuliPartition(ms, sub) for sub in ((2,), (0, 3), (1, 2, 4))]
-        partitions += [ModuliPartition(wide, sub) for sub in ((0,), (1, 3), (0, 1, 2))]
+        partitions += [ModuliPartition(WIDE_SET, sub) for sub in ((0,), (1, 3), (0, 1, 2))]
         for part in partitions:
             moduli = part.mset.moduli
             for rows in (part.divide_rows, part.extend_rows):
@@ -120,6 +162,45 @@ class TestModuliSet:
                 layout = rows.peel + rows.rest
                 assert [layout[t] for t in rows.order] == sorted(layout)
                 assert not hasattr(rows, "products")
+
+    @pytest.mark.parametrize(
+        "ms", [EX_SET, WORD30_SET, WORD62_SET, WIDE_SET], ids=["ex", "word30", "word62", "wide"]
+    )
+    def test_head_every_prefix(self, ms):
+        # ``head(ms, k)`` for every k: the first k inverses are P_j^-1 mod
+        # p_j, every later one P_k^-1 mod its channel, computed directly
+        # here; the wide set's inverses are a tuple.
+        moduli = ms.moduli
+        n = len(moduli)
+        for peel, rest in ((tuple(range(n)), ()), ((3, 0, 2), (1,)), ((n - 1, 1), (0, 2))):
+            table = PeelRows(ms, peel, rest)
+            for k in range(len(peel) + 1):
+                rows = table.head(ms, k)
+                assert rows.peel == peel[:k]
+                assert rows.rest == peel[k:] + rest
+                place = prod(moduli[i] for i in rows.peel)
+                want = [
+                    pow(prod(moduli[i] for i in peel[:j]), -1, moduli[peel[j]])
+                    for j in range(k)
+                ] + [pow(place, -1, moduli[i]) for i in rows.rest]
+                assert list(rows.inverses) == want
+                assert (type(rows.inverses) is tuple) == (ms is WIDE_SET)
+                assert rows.order == _order(rows.peel + rows.rest)
+
+    def test_retains_no_full_width_state_per_channel(self):
+        # 139 moduli of 30 bits, as at a 2048-bit modulus: the product is the
+        # only full-width integer a set keeps; one more per channel would
+        # add tens of KiB.
+        moduli = coprime_below((1 << 30) - 1, 139)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ms = make_moduli_set(moduli)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ms) == 139
+        assert retained <= 16 * 1024
 
 
 class TestEncodeDecode:
@@ -161,6 +242,18 @@ class TestEncodeDecode:
     def test_round_trip_property(self, pair):
         ms, x = pair
         assert decode_crt(encode(x, ms)) == x
+
+    @given(decode_inputs())
+    @settings(deadline=None)
+    def test_decode_matches_independent_crt(self, pair):
+        ms, values = pair
+        assert decode_crt(ResidueVector(values, ms)) == crt_reference(values, ms)
+
+    @pytest.mark.parametrize("ms", DECODE_SETS.values(), ids=DECODE_SETS.keys())
+    def test_decode_edge_values(self, ms):
+        for x in (0, 1, ms.product - 1):
+            rv = encode(x, ms)
+            assert decode_crt(rv) == crt_reference(rv.values, ms) == x
 
 
 class TestElementwise:

@@ -11,7 +11,7 @@ one-modulus-at-a-time reference in ``helpers``.
 
 import random
 from importlib import resources
-from math import gcd, isqrt, prod
+from math import isqrt, prod
 
 import pytest
 
@@ -33,7 +33,7 @@ from rnsbarrett import (
 from rnsbarrett.barrett import capacity_condition
 from rnsbarrett.rns import PeelRows
 
-from helpers import reference_pass
+from helpers import coprime_below, reference_pass
 
 # Mersenne primes, every one but the first wider than 64 bits.
 WIDE_SET = make_moduli_set([(1 << 61) - 1, (1 << 89) - 1, (1 << 107) - 1, (1 << 127) - 1])
@@ -42,17 +42,6 @@ SMALL_H_SET = make_moduli_set([3, 5, 7, 11, 13, 1009])
 
 def odd_modulus(seed: int, bits: int) -> int:
     return random.Random(seed).getrandbits(bits) | (1 << (bits - 1)) | 1
-
-
-def coprime_below(top: int, count: int) -> list[int]:
-    """The ``count`` largest integers up to ``top`` coprime to each other."""
-    chosen, product = [], 1
-    while len(chosen) < count:
-        if gcd(top, product) == 1:
-            chosen.append(top)
-            product *= top
-        top -= 1
-    return chosen
 
 
 def build(modulus, case, g_moduli, h_moduli, x_moduli):
