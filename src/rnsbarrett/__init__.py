@@ -46,7 +46,6 @@ from .reference import (
     oracle_modmul,
 )
 from .rns import (
-    MixedRadixDigits,
     ModuliSet,
     PartialResidueVector,
     ResidueVector,
@@ -75,7 +74,6 @@ __all__ = [
     "DuplicateOrNonCoprime",
     "EmptyKnownSet",
     "InputOutOfRange",
-    "MixedRadixDigits",
     "ModuliPartition",
     "ModuliSet",
     "ModulusTooSmall",

@@ -17,10 +17,11 @@ the true residue x mod m_i, whatever s was: the seed cancels exactly.
 
 With a zero seed the whole seed-and-subtract step collapses to S mod m_i,
 and S on channel i is exactly the lane sum sum_l d_l * (P_l mod m_i) that
-the peel's packed accumulator already holds. So production extension reads
-the unknown channels' lane sums after the last digit and reduces each once,
-with no seed, no quotient and no multiply by P. ``fill`` still runs the
-seeded arithmetic, so that tests can show the seed does not matter.
+the peel's packed accumulator already holds. So extension reads the
+unknown channels' lane sums after the last digit and reduces each once,
+with no seed, no quotient and no multiply by P. The seeded arithmetic
+lives in the tests (``helpers.seeded_extend``), which show that the seed
+does not matter.
 
 The peel runs in Garner form (``rns.PeelRows``): one multiply-add per known
 channel on a packed accumulator that holds the pending sums of every later
@@ -39,7 +40,7 @@ from .errors import EmptyKnownSet
 from .rns import PartialResidueVector, PeelRows, ResidueVector, _peel
 
 
-def base_extend(x: PartialResidueVector, *, fill: dict | None = None) -> ResidueVector:
+def base_extend(x: PartialResidueVector) -> ResidueVector:
     """Full residue vector agreeing with x on every channel.
 
     The caller must guarantee that the encoded integer is below the product
@@ -47,10 +48,6 @@ def base_extend(x: PartialResidueVector, *, fill: dict | None = None) -> Residue
     violation silently yields the residues of the value reduced into that
     range. Call sites in this package document why their quotients satisfy
     the bound.
-
-    ``fill`` sets seed values on unknown channels and exists so tests can
-    demonstrate that the seed does not influence the result; leave it alone
-    in production code, which takes the zero-seed shortcut.
     """
     ms = x.mset
     moduli = ms.moduli
@@ -67,18 +64,7 @@ def base_extend(x: PartialResidueVector, *, fill: dict | None = None) -> Residue
         known = list(map(values.__getitem__, rows.peel))
     else:
         known = x._known
-    if fill is None:
-        extended = _peel(rows, moduli, values, divide=False)[1]
-    else:
-        # The seeded arithmetic: the seeded vector's quotient q gives the
-        # true residue s - q * P; P mod m_i is the inverse of P^-1 mod m_i.
-        seeds = [fill[i] for i in rows.rest]
-        quotient = _peel(rows, moduli, {**values, **dict(zip(rows.rest, seeds))})[1]
-        inverses = rows.inverses[len(rows.peel):]
-        extended = [
-            (s - q * pow(inverse, -1, moduli[i])) % moduli[i]
-            for i, s, q, inverse in zip(rows.rest, seeds, quotient, inverses)
-        ]
+    extended = _peel(rows, moduli, values, divide=False)[1]
     return ResidueVector._reduced(
         tuple(map((known + extended).__getitem__, rows.order)), ms
     )

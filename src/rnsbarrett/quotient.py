@@ -42,16 +42,22 @@ from .rns import (
 )
 
 
+def _sorted_indices(n: int, indices, name: str) -> tuple[int, ...]:
+    """``indices`` ascending; raises ValueError on a repeat or one outside 0..n-1."""
+    idx = tuple(sorted(indices))
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"duplicate index in {name}")
+    if idx and (idx[0] < 0 or idx[-1] >= n):
+        raise ValueError(f"{name} out of range 0..{n - 1}")
+    return idx
+
+
 def _split(mset: ModuliSet, divisor_indices) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Sorted divisor indices and the ascending rest; raises ValueError."""
     n = len(mset.moduli)
-    idx = tuple(sorted(divisor_indices))
-    if len(set(idx)) != len(idx):
-        raise ValueError("duplicate divisor index")
+    idx = _sorted_indices(n, divisor_indices, "divisor indices")
     if not idx:
         raise ValueError("divisor index set is empty")
-    if idx[0] < 0 or idx[-1] >= n:
-        raise ValueError(f"divisor index out of range 0..{n - 1}")
     if len(idx) == n:
         raise ValueError("divisor set must leave at least one channel")
     divisors = set(idx)

@@ -18,9 +18,10 @@ def oracle_modmul(a: int, b: int, n: int) -> int:
 def oracle_modexp(base: int, exponent: int, n: int) -> int:
     """base**exponent mod n by square-and-multiply, high bit first.
 
-    Deliberately scans the exponent in the opposite order from the residue
-    pipeline's low-bit-first loop, so the two act as independent checks on
-    each other.
+    Plain binary square-and-multiply on integers, one bit at a time: no
+    windows, no table of odd powers and no residues, so it shares nothing
+    with ``bmm_modexp``'s sliding windows over residue vectors and the two
+    act as independent checks on each other.
     """
     result = 1 % n
     base %= n

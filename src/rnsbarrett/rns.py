@@ -3,10 +3,8 @@
 An integer in [0, M) is represented by its remainders modulo n pairwise
 coprime moduli whose product is M. Addition, subtraction and multiplication
 then act channel by channel with no carries between channels. Decoding back
-to an ordinary integer uses the classic remainder-theorem weights, one word
-per channel, folded over prefix products of the moduli, so nothing
-full-width is stored per channel; decoding to mixed-radix digits stays
-entirely in channel arithmetic.
+to an ordinary integer, or to its mixed-radix digits, runs Garner's
+recurrence once over the channels and stores nothing.
 
 Moduli are expected to be machine-word sized (they are validated only as
 being at least 2); the product M and any decoded integer are ordinary
@@ -32,17 +30,17 @@ from .errors import (
 
 
 class ModuliSet:
-    """An ascending tuple of pairwise coprime moduli plus its decoding weights.
+    """An ascending tuple of pairwise coprime moduli and their product.
 
     Instances are immutable after construction and safe to share between
-    threads. Construction precomputes the decoding weights only, one word
-    per channel; the only full-width integer kept is the product. The inverses
-    that channel peeling needs depend on which channels are peeled, so they
-    live in ``PeelRows``, which each context or ``ModuliPartition`` builds
-    once and ad-hoc callers build per call.
+    threads. Construction validates and multiplies, nothing else. The
+    inverses that channel peeling needs depend on which channels are
+    peeled, so they live in ``PeelRows``, which each context or
+    ``ModuliPartition`` builds once and ad-hoc ``base_extend`` calls build
+    per call.
     """
 
-    __slots__ = ("moduli", "product", "crt_weights")
+    __slots__ = ("moduli", "product")
 
     def __init__(self, moduli):
         if not moduli:
@@ -64,8 +62,6 @@ class ModuliSet:
                         )
         self.moduli = ordered
         self.product = product
-        # Decoding weight w_i solves w_i * (M / m_i) == 1 (mod m_i).
-        self.crt_weights = tuple(pow(product // m, -1, m) for m in ordered)
 
     def __len__(self) -> int:
         return len(self.moduli)
@@ -188,26 +184,6 @@ class PartialResidueVector:
         """Indices that carry a residue, ascending."""
         return tuple(sorted(self.values))
 
-    def is_full(self) -> bool:
-        return len(self.values) == len(self.mset.moduli)
-
-
-@dataclass(frozen=True)
-class MixedRadixDigits:
-    """Positional digits with place values 1, m_1, m_1*m_2, and so on."""
-
-    digits: tuple[int, ...]
-    mset: ModuliSet
-
-    def value(self) -> int:
-        """Reconstruct the integer from the positional sum."""
-        total = 0
-        place = 1
-        for d, m in zip(self.digits, self.mset.moduli):
-            total += d * place
-            place *= m
-        return total
-
 
 def encode(x: int, ms: ModuliSet) -> ResidueVector:
     """Residues of x on every channel. Requires 0 <= x < M."""
@@ -216,21 +192,35 @@ def encode(x: int, ms: ModuliSet) -> ResidueVector:
     return ResidueVector._reduced(tuple(x % m for m in ms.moduli), ms)
 
 
-def decode_crt(rv: ResidueVector) -> int:
-    """The unique integer in [0, M) with the vector's residues.
+def _garner(rv: ResidueVector) -> tuple[list[int], int]:
+    """Mixed-radix digits of the encoded integer x, and x itself.
 
-    Sums y_i * M / m_i with y_i = v_i * w_i mod m_i, without any stored
-    cofactor: the sum is folded over the prefix products of the moduli,
-    each step scaling the terms so far by the next modulus and adding the
-    new term times the product of the moduli before it. The sum is exact
-    and reduced modulo M once at the end.
+    Garner's recurrence over the moduli in ascending order: with x_i the
+    integer the first i channels encode and P_i the product of their
+    moduli, digit d_i = (v_i - x_i) * P_i^-1 mod m_i and x_{i+1} = x_i +
+    d_i * P_i. Each x_i is below P_i, so x needs no final reduction.
     """
-    ms = rv.mset
-    total, place = 0, 1
-    for v, w, m in zip(rv.values, ms.crt_weights, ms.moduli):
-        total = total * m + v * w % m * place
+    digits = []
+    x, place = 0, 1
+    for v, m in zip(rv.values, rv.mset.moduli):
+        d = (v - x) * pow(place, -1, m) % m
+        digits.append(d)
+        x += d * place
         place *= m
-    return total % ms.product
+    return digits, x
+
+
+def decode_crt(rv: ResidueVector) -> int:
+    """The unique integer in [0, M) with the vector's residues."""
+    return _garner(rv)[1]
+
+
+def to_mixed_radix(rv: ResidueVector) -> tuple[int, ...]:
+    """Digits d_i with x = d_0 + d_1 * m_0 + d_2 * m_0 * m_1 + ...
+
+    The moduli are taken in ascending order and each d_i is below m_i.
+    """
+    return tuple(_garner(rv)[0])
 
 
 def _store(moduli):
@@ -401,8 +391,8 @@ def _peel(rows: PeelRows, moduli, values, divide=True) -> tuple[list[int], list[
       peeled residues encode (taken below their product), so these are its
       residues on the rest channels: its base extension.
 
-    This is the package's only peel loop; the two stages and
-    ``to_mixed_radix`` run through it.
+    This is the package's only peel loop; the two stages and ad-hoc
+    ``base_extend`` calls run through it.
     """
     width = rows.width
     mask = (1 << width) - 1
@@ -423,15 +413,3 @@ def _peel(rows: PeelRows, moduli, values, divide=True) -> tuple[list[int], list[
     return digits, [
         (acc >> shift & mask) % moduli[i] for i, shift in zip(rows.rest, lanes)
     ]
-
-
-def to_mixed_radix(rv: ResidueVector) -> MixedRadixDigits:
-    """Mixed-radix digits of the encoded integer, channel arithmetic only.
-
-    Peels every modulus in ascending order; the remainder digits pulled off
-    are precisely the positional digits, so no decode to a big integer
-    happens anywhere. The peeling rows are built for this one call.
-    """
-    ms = rv.mset
-    rows = PeelRows(ms, range(len(ms.moduli)), ())
-    return MixedRadixDigits(tuple(_peel(rows, ms.moduli, rv.values)[0]), ms)

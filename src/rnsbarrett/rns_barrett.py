@@ -21,7 +21,7 @@ from math import prod
 from .barrett import BarrettParams, RangeCase, capacity_condition, make_params
 from .base_extension import base_extend
 from .errors import ConditionViolation, SetMismatch, int_text
-from .quotient import ModuliPartition, quotient_by_moduli_product
+from .quotient import ModuliPartition, _sorted_indices, quotient_by_moduli_product
 from .rns import ModuliSet, PartialResidueVector, ResidueVector, encode
 
 
@@ -77,15 +77,6 @@ class StepTrace:
     c: ResidueVector
 
 
-def _normalize_indices(indices, n: int, name: str) -> tuple[int, ...]:
-    idx = tuple(sorted(indices))
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"duplicate index in {name}")
-    if idx and (idx[0] < 0 or idx[-1] >= n):
-        raise ValueError(f"{name} out of range 0..{n - 1}")
-    return idx
-
-
 def make_context(
     ms: ModuliSet, modulus: int, g_indices, h_indices, case=RangeCase.CASE1
 ) -> RnsBarrettContext:
@@ -98,8 +89,8 @@ def make_context(
     """
     case = RangeCase(case)
     n = len(ms.moduli)
-    g_idx = _normalize_indices(g_indices, n, "g_indices")
-    h_idx = _normalize_indices(h_indices, n, "h_indices")
+    g_idx = _sorted_indices(n, g_indices, "g_indices")
+    h_idx = _sorted_indices(n, h_indices, "h_indices")
     g = prod((ms.moduli[i] for i in g_idx), start=1)
     h = prod((ms.moduli[i] for i in h_idx), start=1)
     params = make_params(modulus, g, h, case)

@@ -1,7 +1,7 @@
 """Shared generators and reference computations for the test suite."""
 
 import random
-from math import gcd
+from math import gcd, prod
 
 from rnsbarrett import RangeCase, ResidueVector, SelectionFailed, select_context
 from rnsbarrett.rns import PeelRows, _peel
@@ -62,6 +62,26 @@ def peel_division(ms, current, peel) -> list[int]:
     for i, v in zip(rest, values):
         current[i] = v
     return digits
+
+
+def seeded_extend(partial, fill: dict) -> ResidueVector:
+    """``base_extend`` by the seeded arithmetic, through ``rns._peel``.
+
+    Each unknown channel i is seeded with ``fill[i]``. Peeling the known
+    moduli leaves there the seeded vector's quotient q = (s - S) * P^-1
+    mod m_i, where S is the positional sum of the peeled digits and P the
+    product of the known moduli, so s - q * P is S mod m_i, whatever the
+    seed s was.
+    """
+    ms = partial.mset
+    moduli = ms.moduli
+    values = partial.values
+    rest = [i for i in range(len(moduli)) if i not in values]
+    rows = PeelRows(ms, partial.known, rest)
+    quotient = _peel(rows, moduli, {**values, **fill})[1]
+    place = prod(moduli[k] for k in rows.peel)
+    extended = {i: (fill[i] - q * place) % moduli[i] for i, q in zip(rest, quotient)}
+    return ResidueVector(tuple({**values, **extended}[i] for i in range(len(moduli))), ms)
 
 
 def reference_peel(ms, current, peel):

@@ -38,7 +38,7 @@ from rnsbarrett import (
     trace_bmm,
 )
 
-from helpers import COPRIME_POOL, random_context
+from helpers import COPRIME_POOL, random_context, seeded_extend
 
 
 @contextmanager
@@ -186,7 +186,7 @@ def test_criterion_6_base_extension_seed_independence():
                 for i in range(n) if i not in set(known)
             }
             zero_seeded = base_extend(partial)
-            assert zero_seeded == base_extend(partial, fill=fill)
+            assert zero_seeded == seeded_extend(partial, fill)
             assert zero_seeded == encode(x, ms)
         assert time.perf_counter() - start <= 30
 

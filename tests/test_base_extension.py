@@ -16,7 +16,7 @@ from rnsbarrett import (
     to_mixed_radix,
 )
 
-from helpers import COPRIME_POOL, peel_division
+from helpers import COPRIME_POOL, peel_division, seeded_extend
 
 EX_SET = make_moduli_set([4, 5, 7, 11])
 
@@ -73,7 +73,7 @@ def test_seed_values_do_not_matter():
             i: rng.randrange(ms.moduli[i]) for i in range(n) if i not in set(known)
         }
         zero_seeded = base_extend(partial)
-        random_seeded = base_extend(partial, fill=fill)
+        random_seeded = seeded_extend(partial, fill)
         assert zero_seeded == random_seeded
         assert zero_seeded == encode(x, ms)
 
@@ -89,7 +89,7 @@ def test_peeled_digits_are_mixed_radix_digits():
         current = [x % m if i in set(known) else 0 for i, m in enumerate(ms.moduli)]
         digits = peel_division(ms, current, known)
         known_only = make_moduli_set([ms.moduli[i] for i in known])
-        assert tuple(digits) == to_mixed_radix(encode(x, known_only)).digits
+        assert tuple(digits) == to_mixed_radix(encode(x, known_only))
 
 
 @given(
