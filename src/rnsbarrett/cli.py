@@ -21,10 +21,7 @@ from .paramfile import dumps as dump_params
 from .paramfile import load as load_params
 from .rns import decode_crt, encode
 from .rns_barrett import RnsBarrettContext, StepTrace, trace_bmm
-from .selection import select_context
-
-# word sizes tried in order when no parameter file is given
-_WORD_BITS_LADDER = (16, 24, 32, 48, 60)
+from .selection import DEFAULT_WORD_BITS, MAX_WORD_BITS, select_context
 
 
 class _UsageError(Exception):
@@ -76,8 +73,9 @@ def _build_parser() -> _Parser:
     par = sub.add_parser("params", help="search parameters and write them to a file")
     par.add_argument("--modulus", required=True, help="the modulus N")
     par.add_argument("--case", type=int, choices=(1, 2, 3, 4), default=1)
-    par.add_argument("--word-bits", type=int, default=16,
-                     help="target bit size of the moduli (4..62, default 16)")
+    par.add_argument("--word-bits", type=int, default=DEFAULT_WORD_BITS,
+                     help=f"target bit size of the moduli "
+                          f"(4..{MAX_WORD_BITS}, default {DEFAULT_WORD_BITS})")
     par.add_argument("--out", metavar="FILE", default=None,
                      help="output file; without it the document goes to stdout")
     par.set_defaults(func=_cmd_params)
@@ -111,13 +109,9 @@ def _context_for(args, n: int, default_case: int) -> RnsBarrettContext:
             )
         return ctx
     case = RangeCase(args.case if args.case is not None else default_case)
-    last_failure = None
-    for word_bits in _WORD_BITS_LADDER:
-        try:
-            return select_context(n, case, word_bits)
-        except SelectionFailed as exc:
-            last_failure = exc
-    raise last_failure
+    # One wide word size: where it fails (N = 2 in cases 3 and 4), the
+    # reason is structural and no other width would succeed.
+    return select_context(n, case, DEFAULT_WORD_BITS)
 
 
 def _vector_text(values) -> str:
@@ -175,8 +169,10 @@ def _cmd_modexp(args) -> int:
 
 def _cmd_params(args) -> int:
     n = _require_modulus(args)
-    if not 4 <= args.word_bits <= 62:
-        raise _UsageError(f"--word-bits must be in [4, 62], got {args.word_bits}")
+    if not 4 <= args.word_bits <= MAX_WORD_BITS:
+        raise _UsageError(
+            f"--word-bits must be in [4, {MAX_WORD_BITS}], got {args.word_bits}"
+        )
     case = RangeCase(args.case)
     ctx = select_context(n, case, args.word_bits)
 

@@ -3,12 +3,14 @@
 An integer in [0, M) is represented by its remainders modulo n pairwise
 coprime moduli whose product is M. Addition, subtraction and multiplication
 then act channel by channel with no carries between channels. Decoding back
-to an ordinary integer, or to its mixed-radix digits, runs Garner's
-recurrence once over the channels and stores nothing.
+to an ordinary integer sums the remainder theorem's terms with one weight
+below its modulus per channel, which each moduli set computes on its first
+decode and keeps; mixed-radix digits come from Garner's recurrence, which
+stores nothing.
 
-Moduli are expected to be machine-word sized (they are validated only as
-being at least 2); the product M and any decoded integer are ordinary
-Python integers of arbitrary size.
+Moduli are validated only as being at least 2; ``select_context`` picks
+them just below a power of two, 2**254 by default. Moduli, the product M
+and any decoded integer are ordinary Python integers of arbitrary size.
 """
 
 import sys
@@ -32,15 +34,19 @@ from .errors import (
 class ModuliSet:
     """An ascending tuple of pairwise coprime moduli and their product.
 
-    Instances are immutable after construction and safe to share between
-    threads. Construction validates and multiplies, nothing else. The
-    inverses that channel peeling needs depend on which channels are
-    peeled, so they live in ``PeelRows``, which each context or
-    ``ModuliPartition`` builds once and ad-hoc ``base_extend`` calls build
-    per call.
+    Construction validates and multiplies, nothing else. The inverses that
+    channel peeling needs depend on which channels are peeled, so they live
+    in ``PeelRows``, which each context or ``ModuliPartition`` builds once
+    and ad-hoc ``base_extend`` calls build per call.
+
+    One slot, ``_crt_weights``, starts empty and is filled by the first
+    ``decode_crt`` of the set; nothing else changes after construction.
+    Instances are safe to share between threads: two threads that decode
+    at once may both compute the weights, which are equal, and either
+    tuple is kept.
     """
 
-    __slots__ = ("moduli", "product")
+    __slots__ = ("moduli", "product", "_crt_weights")
 
     def __init__(self, moduli):
         if not moduli:
@@ -62,6 +68,7 @@ class ModuliSet:
                         )
         self.moduli = ordered
         self.product = product
+        self._crt_weights = None
 
     def __len__(self) -> int:
         return len(self.moduli)
@@ -211,8 +218,29 @@ def _garner(rv: ResidueVector) -> tuple[list[int], int]:
 
 
 def decode_crt(rv: ResidueVector) -> int:
-    """The unique integer in [0, M) with the vector's residues."""
-    return _garner(rv)[1]
+    """The unique integer in [0, M) with the vector's residues.
+
+    Sums y_i * M / m_i with y_i = v_i * w_i mod m_i, without any stored
+    cofactor: the sum is folded over the prefix products of the moduli,
+    each step scaling the terms so far by the next modulus and adding the
+    new term times the product of the moduli before it. The sum is exact
+    and reduced modulo M once at the end. The weights w_i = (M / m_i)^-1
+    mod m_i are computed on the set's first decode and kept in it.
+    """
+    ms = rv.mset
+    weights = ms._crt_weights
+    if weights is None:
+        # M / m_i mod m_i is (M mod m_i^2) / m_i: each weight reduces M by
+        # a two-channel modulus instead of dividing it by a one-channel one.
+        product = ms.product
+        weights = ms._crt_weights = tuple(
+            pow(product % (m * m) // m, -1, m) for m in ms.moduli
+        )
+    total, place = 0, 1
+    for v, w, m in zip(rv.values, weights, ms.moduli):
+        total = total * m + v * w % m * place
+        place *= m
+    return total % place
 
 
 def to_mixed_radix(rv: ResidueVector) -> tuple[int, ...]:

@@ -26,6 +26,13 @@ from .rns_barrett import RnsBarrettContext, make_context
 # Largest moduli set a search may build before giving up.
 MAX_MODULI = 512
 
+# Word sizes: the default, and the largest a search accepts. Wider channels
+# mean fewer peel digits per pass and smaller tables; a pass is fastest
+# around 190 to 254 bits, and the range conditions do not depend on the
+# channel width.
+DEFAULT_WORD_BITS = 254
+MAX_WORD_BITS = 1024
+
 
 def _primorial(limit: int) -> int:
     """The product of the primes below ``limit``."""
@@ -54,19 +61,23 @@ def _next_coprime(candidate: int, product: int, small: int) -> int:
 
 
 def select_context(
-    modulus: int, case=RangeCase.CASE1, word_bits: int = 16
+    modulus: int, case=RangeCase.CASE1, word_bits: int = DEFAULT_WORD_BITS
 ) -> RnsBarrettContext:
     """Pick moduli near 2**word_bits and divisor index sets for the modulus.
 
-    Deterministic: the same arguments always yield the same context. Raises
-    SelectionFailed when the candidate pool or the budget of ``MAX_MODULI``
-    moduli runs out; retrying with larger word_bits usually helps.
+    Deterministic: the same arguments always yield the same context.
+    ``word_bits`` must be in [4, ``MAX_WORD_BITS``]. Raises SelectionFailed
+    when no admissible g exists (N = 2 in cases 3 and 4), or when the
+    candidate pool or the budget of ``MAX_MODULI`` moduli runs out, which
+    at the default word size takes a modulus of tens of thousands of bits.
     """
     case = RangeCase(case)
     if modulus < 2:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
-    if not 4 <= word_bits <= 62:
-        raise ValueError(f"word_bits must be in [4, 62], got {word_bits}")
+    if not 4 <= word_bits <= MAX_WORD_BITS:
+        raise ValueError(
+            f"word_bits must be in [4, {MAX_WORD_BITS}], got {word_bits}"
+        )
 
     top = (1 << word_bits) - 1
 

@@ -5,6 +5,7 @@ from importlib import resources
 
 from rnsbarrett import dump_params, load_params, parse_params, select_context
 from rnsbarrett.cli import main
+from rnsbarrett.selection import MAX_WORD_BITS
 
 
 def bundled_params_path():
@@ -155,6 +156,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "modmul", "--modulus", "21", "21", "3")
         assert code == 1
         assert "not in [0, 21)" in err
+
+    def test_params_word_bits_out_of_range(self, capsys):
+        for bits in (3, MAX_WORD_BITS + 1):
+            code, _, err = run(
+                capsys, "params", "--modulus", "21", "--word-bits", str(bits),
+            )
+            assert code == 1
+            assert f"[4, {MAX_WORD_BITS}]" in err
 
     def test_selection_failure_is_exit_2(self, capsys):
         # 4-bit candidates cannot satisfy case 4 around 21

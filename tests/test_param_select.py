@@ -7,7 +7,7 @@ from math import gcd, prod
 import pytest
 
 from rnsbarrett import RangeCase, SelectionFailed, select_context
-from rnsbarrett.selection import MAX_MODULI, _next_coprime
+from rnsbarrett.selection import MAX_MODULI, MAX_WORD_BITS, _next_coprime
 
 
 def assert_sound(ctx, n, case):
@@ -81,7 +81,9 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         select_context(21, RangeCase.CASE1, 3)
     with pytest.raises(ValueError):
-        select_context(21, RangeCase.CASE1, 63)
+        select_context(21, RangeCase.CASE1, MAX_WORD_BITS + 1)
+    ctx = select_context(21, RangeCase.CASE1, MAX_WORD_BITS)
+    assert ctx.mset.moduli[-1].bit_length() == MAX_WORD_BITS
 
 
 def test_case_by_number():

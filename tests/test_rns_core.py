@@ -1,6 +1,8 @@
 """Moduli sets, residue vectors, decoding, and mixed-radix conversion."""
 
 import random
+import sys
+import threading
 import tracemalloc
 from math import prod
 
@@ -24,7 +26,7 @@ from rnsbarrett import (
     select_context,
     to_mixed_radix,
 )
-from rnsbarrett.rns import PeelRows, _order
+from rnsbarrett.rns import PeelRows, _garner, _order
 
 from helpers import COPRIME_POOL, coprime_below
 
@@ -67,6 +69,11 @@ def crt_reference(values, ms) -> int:
     return sum(
         v * pow(big // m, -1, m) * (big // m) for v, m in zip(values, ms.moduli)
     ) % big
+
+
+def weights_reference(ms) -> tuple[int, ...]:
+    """The decoding weights (M / m_i)^-1 mod m_i, from full-width cofactors."""
+    return tuple(pow(ms.product // m, -1, m) for m in ms.moduli)
 
 
 @st.composite
@@ -242,13 +249,70 @@ class TestEncodeDecode:
     @settings(deadline=None)
     def test_decode_matches_independent_crt(self, pair):
         ms, values = pair
-        assert decode_crt(ResidueVector(values, ms)) == crt_reference(values, ms)
+        rv = ResidueVector(values, ms)
+        assert decode_crt(rv) == crt_reference(values, ms) == _garner(rv)[1]
 
     @pytest.mark.parametrize("ms", DECODE_SETS.values(), ids=DECODE_SETS.keys())
     def test_decode_edge_values(self, ms):
         for x in (0, 1, ms.product - 1):
             rv = encode(x, ms)
             assert decode_crt(rv) == crt_reference(rv.values, ms) == x
+
+
+    def test_weights_are_computed_once_per_set(self):
+        ms = make_moduli_set(coprime_below((1 << 30) - 1, 19))
+        assert ms._crt_weights is None
+        rng = random.Random(19)
+        x, y = rng.randrange(ms.product), rng.randrange(ms.product)
+        assert decode_crt(encode(x, ms)) == x
+        weights = ms._crt_weights
+        assert weights == weights_reference(ms)
+        assert decode_crt(encode(y, ms)) == y
+        assert ms._crt_weights is weights
+
+    def test_first_decode_retains_one_word_per_channel(self):
+        # 139 moduli of 30 bits, as at a 2048-bit modulus: the weights are
+        # one small integer per channel, a full-width term per channel
+        # would be tens of KiB.
+        ms = make_moduli_set(coprime_below((1 << 30) - 1, 139))
+        rv = encode(ms.product - 1, ms)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            decode_crt(rv)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ms._crt_weights) == 139
+        assert retained <= 8 * 1024
+
+    def test_concurrent_first_decodes_agree(self):
+        # Threads may race to fill a set's weights; each computes the same
+        # tuple, so every decode is right whichever one is kept.
+        sets = [make_moduli_set(coprime_below((1 << 30) - 1 - k, 40))
+                for k in range(0, 200, 10)]
+        values = [ms.product - 1 - k for k, ms in enumerate(sets)]
+        wrong = []
+
+        def decode_all():
+            for ms, x in zip(sets, values):
+                if decode_crt(encode(x, ms)) != x:
+                    wrong.append((ms, x))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=decode_all) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        for ms in sets:
+            assert ms._crt_weights == weights_reference(ms)
 
 
 class TestElementwise:
