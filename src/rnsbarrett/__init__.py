@@ -15,20 +15,17 @@ from .barrett import (
     final_correct,
     make_params,
     modmul,
-    quotient_steps,
 )
 from .base_extension import base_extend
 from .errors import (
     CaseMismatch,
     ConditionViolation,
-    ContextMismatch,
     DuplicateOrNonCoprime,
     EmptyKnownSet,
     InputOutOfRange,
     ModulusTooSmall,
     NotCoprime,
     OutOfRange,
-    PartitionMismatch,
     RnsBarrettError,
     SelectionFailed,
     SetMismatch,
@@ -36,8 +33,6 @@ from .errors import (
 from .modexp import bmm_modexp, final_result
 from .paramfile import dumps as dump_params
 from .paramfile import load as load_params
-from .paramfile import loads as parse_params
-from .paramfile import save as save_params
 from .quotient import ModuliPartition, quotient_by_moduli_product
 from .reference import (
     classic_barrett_quotient,
@@ -59,7 +54,6 @@ from .rns_barrett import (
     StepTrace,
     bmm,
     make_context,
-    make_context_from_divisors,
     trace_bmm,
 )
 from .selection import select_context
@@ -70,7 +64,6 @@ __all__ = [
     "BarrettParams",
     "CaseMismatch",
     "ConditionViolation",
-    "ContextMismatch",
     "DuplicateOrNonCoprime",
     "EmptyKnownSet",
     "InputOutOfRange",
@@ -80,7 +73,6 @@ __all__ = [
     "NotCoprime",
     "OutOfRange",
     "PartialResidueVector",
-    "PartitionMismatch",
     "RangeCase",
     "ResidueVector",
     "RnsBarrettContext",
@@ -100,17 +92,13 @@ __all__ = [
     "final_result",
     "load_params",
     "make_context",
-    "make_context_from_divisors",
     "make_moduli_set",
     "make_params",
     "modmul",
     "montgomery_modmul",
     "oracle_modexp",
     "oracle_modmul",
-    "parse_params",
     "quotient_by_moduli_product",
-    "quotient_steps",
-    "save_params",
     "select_context",
     "to_mixed_radix",
     "trace_bmm",

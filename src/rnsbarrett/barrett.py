@@ -134,7 +134,7 @@ def capacity_condition(modulus: int, h: int, product: int, case: RangeCase) -> C
     return Condition(name, holds, failure)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BarrettParams:
     """Validated reduction constants for one modulus and range case."""
 
@@ -164,17 +164,6 @@ def make_params(modulus: int, g: int, h: int, case=RangeCase.CASE1) -> BarrettPa
         if not condition.holds:
             raise ConditionViolation(condition.failure)
     return BarrettParams(modulus, g, h, g * h // modulus, case)
-
-
-def quotient_steps(x: int, p: BarrettParams) -> tuple[int, int, int]:
-    """The three stages of the estimate: d = x//g, e = d*mu, q = e//h.
-
-    Exposed so callers can inspect or log the intermediates; most code wants
-    ``estimate_quotient``.
-    """
-    d = x // p.g
-    e = d * p.mu
-    return d, e, e // p.h
 
 
 def estimate_quotient(x: int, p: BarrettParams) -> int:

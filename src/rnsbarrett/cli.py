@@ -1,7 +1,8 @@
 """Command-line front end: multiply, exponentiate, and generate parameters.
 
 Exit codes: 0 on success, 1 for usage or parse problems, 2 when the
-mathematics refuses (a divisor or capacity condition fails, or no parameter
+package refuses the mathematics (a divisor or capacity condition fails, a
+parameter file's moduli are too small or share a factor, or no parameter
 set can be found).
 """
 
@@ -15,7 +16,7 @@ from .barrett import (
     final_correct,
     product_condition,
 )
-from .errors import CaseMismatch, ConditionViolation, SelectionFailed
+from .errors import RnsBarrettError, int_text
 from .modexp import bmm_modexp, final_result
 from .paramfile import dumps as dump_params
 from .paramfile import load as load_params
@@ -86,7 +87,12 @@ def _build_parser() -> _Parser:
 def _require_modulus(args) -> int:
     n = _number(args.modulus)
     if n < 2:
-        raise _UsageError(f"modulus must be at least 2, got {n}")
+        raise _UsageError(f"modulus must be at least 2, got {int_text(n)}")
+    # Every printed result is below 3*N; int_text marks what str() refuses.
+    if int_text(3 * n).startswith("<"):
+        raise _UsageError(
+            f"modulus {int_text(n)} is too long for its results to print in decimal"
+        )
     return n
 
 
@@ -100,7 +106,8 @@ def _context_for(args, n: int, default_case: int) -> RnsBarrettContext:
             raise _UsageError(f"bad parameter file {args.params}: {exc}") from None
         if ctx.params.modulus != n:
             raise _UsageError(
-                f"--modulus {n} disagrees with parameter file (N = {ctx.params.modulus})"
+                f"--modulus {int_text(n)} disagrees with parameter file "
+                f"(N = {int_text(ctx.params.modulus)})"
             )
         if args.case is not None and args.case != ctx.params.case.value:
             raise _UsageError(
@@ -143,7 +150,9 @@ def _cmd_modmul(args) -> int:
     limit = ctx.params.case.input_bound * n
     for name, value in (("A", a), ("B", b)):
         if not 0 <= value < limit:
-            raise _UsageError(f"operand {name} = {value} not in [0, {limit})")
+            raise _UsageError(
+                f"operand {name} = {int_text(value)} not in [0, {int_text(limit)})"
+            )
     trace = trace_bmm(encode(a, ctx.mset), encode(b, ctx.mset), ctx)
     if args.trace:
         _print_trace(ctx, trace)
@@ -157,11 +166,11 @@ def _cmd_modexp(args) -> int:
     x = _number(args.x)
     e = _number(args.e)
     if e < 0:
-        raise _UsageError(f"exponent must be nonnegative, got {e}")
+        raise _UsageError(f"exponent must be nonnegative, got {int_text(e)}")
     ctx = _context_for(args, n, default_case=2)
     limit = ctx.params.case.input_bound * n
     if not 0 <= x < limit:
-        raise _UsageError(f"base X = {x} not in [0, {limit})")
+        raise _UsageError(f"base X = {int_text(x)} not in [0, {int_text(limit)})")
     y = bmm_modexp(encode(x, ctx.mset), e, ctx)
     print(final_result(y, ctx))
     return 0
@@ -180,8 +189,9 @@ def _cmd_params(args) -> int:
     h = ctx.params.h
     m = ctx.mset.product
     print(f"moduli: {len(ctx.mset.moduli)}")
+    # G is below N, which prints; H can be too long for str().
     print(f"G = {g}  (indices {', '.join(str(i + 1) for i in ctx.g_indices) or '-'})")
-    print(f"H = {h}  (indices {', '.join(str(i + 1) for i in ctx.h_indices)})")
+    print(f"H = {int_text(h)}  (indices {', '.join(str(i + 1) for i in ctx.h_indices)})")
     print(f"M: {m.bit_length()} bits")
 
     # The case inequalities print in the parameter file's upper-case
@@ -218,7 +228,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConditionViolation, SelectionFailed, CaseMismatch) as exc:
+    except RnsBarrettError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,11 +41,6 @@ class SetMismatch(RnsBarrettError):
     """A residue vector met a vector, partition or context over another moduli set."""
 
 
-# Older names of SetMismatch, kept so existing ``except`` clauses still match.
-PartitionMismatch = SetMismatch
-ContextMismatch = SetMismatch
-
-
 class EmptyKnownSet(RnsBarrettError):
     """A partial residue vector has no known positions."""
 

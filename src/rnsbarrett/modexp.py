@@ -23,7 +23,7 @@ every chain value is a ``bmm`` output and so stays in that range.
 import re
 
 from .barrett import final_correct
-from .errors import CaseMismatch, InputOutOfRange
+from .errors import CaseMismatch, InputOutOfRange, int_text
 from .rns import ResidueVector, decode_crt, encode
 from .rns_barrett import RnsBarrettContext, bmm
 
@@ -87,7 +87,7 @@ def bmm_modexp(
         raise ValueError("exponent must be nonnegative")
     limit = case.input_bound * ctx.params.modulus
     if decode_crt(x) >= limit:
-        raise InputOutOfRange(f"decoded base not below {limit}")
+        raise InputOutOfRange(f"decoded base not below {int_text(limit)}")
     if exponent == 0:
         return encode(1, ctx.mset)
 

@@ -1,4 +1,4 @@
-"""Reading and writing of parameter files for the command-line tool.
+"""Reading and rendering of parameter files for the command-line tool.
 
 A parameter file is UTF-8 text with one ``key: value`` pair per line.
 Integers are decimal, lists are comma-separated, and channel indices are
@@ -52,7 +52,9 @@ def loads(text: str) -> RnsBarrettContext:
     """Parse parameter-file text and build the context it describes.
 
     Malformed text raises ValueError; a well-formed file describing an
-    unsound configuration raises ConditionViolation from ``make_context``.
+    unusable configuration raises the package's named error for it:
+    ModulusTooSmall or DuplicateOrNonCoprime for the moduli, and
+    ConditionViolation from ``make_context``.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -104,9 +106,3 @@ def load(path) -> RnsBarrettContext:
     """Read and parse a parameter file from disk."""
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
-
-
-def save(path, ctx: RnsBarrettContext) -> None:
-    """Write a context to disk in parameter-file form."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(ctx))

@@ -64,7 +64,7 @@ def _split(mset: ModuliSet, divisor_indices) -> tuple[tuple[int, ...], tuple[int
     return idx, tuple(i for i in range(n) if i not in divisors)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ModuliPartition:
     """Split of a moduli set into divisor channels and surviving channels.
 
@@ -82,14 +82,13 @@ class ModuliPartition:
     builds both tables, with the surviving channels ascending in both.
     A context with disjoint g and h builds its two partitions over two
     shared tables instead (``_pair``); there the surviving channels come
-    in another order.
+    in another order. Nothing assigns to a partition once it is built.
     """
 
     mset: ModuliSet
     divisor_indices: tuple[int, ...]
     remaining_indices: tuple[int, ...] = field(init=False)
     divisor_product: int = field(init=False)
-    remaining_product: int = field(init=False)
     divide_rows: PeelRows = field(init=False, repr=False, compare=False)
     extend_rows: PeelRows = field(init=False, repr=False, compare=False)
 
@@ -104,13 +103,11 @@ class ModuliPartition:
 
     def _fill(self, idx, remaining, divide_rows, extend_rows) -> None:
         """Set every field but ``mset`` from the split and its two rows."""
-        fields = self.__dict__
-        fields["divisor_indices"] = idx
-        fields["remaining_indices"] = remaining
-        fields["divisor_product"] = prod(self.mset.moduli[i] for i in idx)
-        fields["remaining_product"] = self.mset.product // fields["divisor_product"]
-        fields["divide_rows"] = divide_rows
-        fields["extend_rows"] = extend_rows
+        self.divisor_indices = idx
+        self.remaining_indices = remaining
+        self.divisor_product = prod(self.mset.moduli[i] for i in idx)
+        self.divide_rows = divide_rows
+        self.extend_rows = extend_rows
 
     @classmethod
     def _pair(
@@ -134,7 +131,7 @@ class ModuliPartition:
 
         def stage(idx, remaining, divide_from, extend_rows):
             part = object.__new__(cls)
-            part.__dict__["mset"] = mset
+            part.mset = mset
             part._fill(idx, remaining, divide_from.head(mset, len(idx)), extend_rows)
             return part
 
@@ -150,12 +147,12 @@ def quotient_by_moduli_product(
     """Residues of x // divisor_product on the surviving channels.
 
     The quotient is exact floor division of the encoded integer, and since
-    it is below ``remaining_product`` the returned partial vector determines
-    it uniquely. Divisor-channel residues are consumed by the peeling and
-    are deliberately absent from the result, which carries the partition's
-    ``extend_rows`` and its own residues as a list in ``divide_rows.rest``
-    order, the layout ``extend_rows.order`` was built for, so that
-    ``base_extend`` builds and rearranges nothing.
+    it is below the product of the surviving moduli the returned partial
+    vector determines it uniquely. Divisor-channel residues are consumed by
+    the peeling and are deliberately absent from the result, which carries
+    the partition's ``extend_rows`` and its own residues as a list in
+    ``divide_rows.rest`` order, the layout ``extend_rows.order`` was built
+    for, so that ``base_extend`` builds and rearranges nothing.
     """
     mset = part.mset
     if x.mset is not mset and x.mset != mset:

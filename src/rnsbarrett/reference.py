@@ -7,7 +7,7 @@ evidence rather than tautology. None of it is meant to be fast.
 
 from math import gcd
 
-from .errors import NotCoprime
+from .errors import NotCoprime, int_text
 
 
 def oracle_modmul(a: int, b: int, n: int) -> int:
@@ -51,7 +51,7 @@ def montgomery_modmul(a: int, b: int, n: int, r: int) -> int:
     a, b < n; only the coprimality is checked.
     """
     if gcd(n, r) != 1:
-        raise NotCoprime(f"gcd({n}, {r}) != 1")
+        raise NotCoprime(f"gcd({int_text(n)}, {int_text(r)}) != 1")
     n_neg_inv = (-pow(n, -1, r)) % r
     product = a * b
     folding = (product % r) * n_neg_inv % r

@@ -17,9 +17,9 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
+from itertools import combinations, repeat
 from math import gcd, lcm, prod
-from operator import add, mod, mul, sub
+from operator import mod, mul, sub
 
 from .errors import (
     DuplicateOrNonCoprime,
@@ -53,19 +53,17 @@ class ModuliSet:
             raise ModulusTooSmall("a moduli set needs at least one modulus")
         for m in moduli:
             if m < 2:
-                raise ModulusTooSmall(f"modulus {m} is smaller than 2")
+                raise ModulusTooSmall(f"modulus {int_text(m)} is smaller than 2")
         ordered = tuple(sorted(moduli))
         product = prod(ordered)
         # Pairwise coprime exactly when the lcm is the whole product; the
         # pairwise scan runs only to name the offending pair.
         if lcm(*ordered) != product:
-            n = len(ordered)
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if gcd(ordered[a], ordered[b]) != 1:
-                        raise DuplicateOrNonCoprime(
-                            f"moduli {ordered[a]} and {ordered[b]} share a factor"
-                        )
+            for a, b in combinations(ordered, 2):
+                if gcd(a, b) != 1:
+                    raise DuplicateOrNonCoprime(
+                        f"moduli {int_text(a)} and {int_text(b)} share a factor"
+                    )
         self.moduli = ordered
         self.product = product
         self._crt_weights = None
@@ -90,9 +88,12 @@ def make_moduli_set(moduli) -> ModuliSet:
     return ModuliSet(moduli)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ResidueVector:
-    """Channel-wise remainders of one integer, tied to a ModuliSet."""
+    """Channel-wise remainders of one integer, tied to a ModuliSet.
+
+    Nothing assigns to a vector after construction, so it hashes by value.
+    """
 
     values: tuple[int, ...]
     mset: ModuliSet
@@ -111,9 +112,8 @@ class ResidueVector:
     def _reduced(cls, values: tuple[int, ...], mset: ModuliSet) -> "ResidueVector":
         """A vector whose values are reduced by construction; skips validation."""
         rv = object.__new__(cls)
-        fields = rv.__dict__
-        fields["values"] = values
-        fields["mset"] = mset
+        rv.values = values
+        rv.mset = mset
         return rv
 
     def _channelwise(self, op, other: "ResidueVector") -> "ResidueVector":
@@ -124,9 +124,6 @@ class ResidueVector:
             tuple(map(mod, map(op, self.values, other.values), mset.moduli)), mset
         )
 
-    def __add__(self, other: "ResidueVector") -> "ResidueVector":
-        return self._channelwise(add, other)
-
     def __sub__(self, other: "ResidueVector") -> "ResidueVector":
         return self._channelwise(sub, other)
 
@@ -134,7 +131,7 @@ class ResidueVector:
         return self._channelwise(mul, other)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PartialResidueVector:
     """Residues known only at a subset of channel positions.
 
@@ -162,7 +159,7 @@ class PartialResidueVector:
         if not self.values:
             raise EmptyKnownSet("a partial residue vector needs at least one residue")
         moduli = self.mset.moduli
-        object.__setattr__(self, "values", dict(self.values))
+        self.values = dict(self.values)
         for i, v in self.values.items():
             if not 0 <= i < len(moduli):
                 raise ValueError(f"channel index {i} out of range")
@@ -179,11 +176,10 @@ class PartialResidueVector:
         ``extend_rows.order`` was built for.
         """
         prv = object.__new__(cls)
-        fields = prv.__dict__
-        fields["values"] = values
-        fields["mset"] = mset
-        fields["_extend_rows"] = extend_rows
-        fields["_known"] = known
+        prv.values = values
+        prv.mset = mset
+        prv._extend_rows = extend_rows
+        prv._known = known
         return prv
 
     @property

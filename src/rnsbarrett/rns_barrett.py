@@ -20,19 +20,20 @@ from math import prod
 
 from .barrett import BarrettParams, RangeCase, capacity_condition, make_params
 from .base_extension import base_extend
-from .errors import ConditionViolation, SetMismatch, int_text
+from .errors import ConditionViolation, SetMismatch
 from .quotient import ModuliPartition, _sorted_indices, quotient_by_moduli_product
 from .rns import ModuliSet, PartialResidueVector, ResidueVector, encode
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RnsBarrettContext:
     """Everything one modulus needs for residue-form multiply-reduce.
 
     ``g_indices`` and ``h_indices`` select the moduli whose products are the
     two scaling divisors; the sets may overlap, and ``g_indices`` may be
     empty (g = 1, first quotient degenerates to the identity). Instances are
-    immutable and safe to share across threads.
+    immutable in use (nothing assigns to them after construction) and safe
+    to share across threads.
 
     When g and h are disjoint and g is nonempty, which is every context
     ``select_context`` builds, the two stages' partitions share two peel
@@ -52,15 +53,13 @@ class RnsBarrettContext:
     def __post_init__(self):
         g, h = self.g_indices, self.h_indices
         if g and set(g).isdisjoint(h):
-            g_part, h_part = ModuliPartition._pair(self.mset, g, h)
+            self._g_partition, self._h_partition = ModuliPartition._pair(self.mset, g, h)
         else:
-            g_part = ModuliPartition(self.mset, g) if g else None
-            h_part = ModuliPartition(self.mset, h)
-        object.__setattr__(self, "_g_partition", g_part)
-        object.__setattr__(self, "_h_partition", h_part)
+            self._g_partition = ModuliPartition(self.mset, g) if g else None
+            self._h_partition = ModuliPartition(self.mset, h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepTrace:
     """Intermediate residue vectors of one multiply-reduce pass.
 
@@ -104,39 +103,6 @@ def make_context(
         h_indices=h_idx,
         mu_rv=encode(params.mu, ms),
         n_rv=encode(modulus, ms),
-    )
-
-
-def _indices_for_divisor(ms: ModuliSet, value: int, name: str) -> tuple[int, ...]:
-    """Resolve a divisor value to the unique moduli subset with that product."""
-    if value == 1:
-        return ()
-    if value < 1 or ms.product % value != 0:
-        raise ConditionViolation(
-            f"{name} | M fails: {int_text(value)} does not divide {int_text(ms.product)}"
-        )
-    idx = tuple(i for i, m in enumerate(ms.moduli) if value % m == 0)
-    if prod((ms.moduli[i] for i in idx), start=1) != value:
-        raise ConditionViolation(
-            f"{name} = {int_text(value)} is not a product of distinct moduli from the set"
-        )
-    return idx
-
-
-def make_context_from_divisors(
-    ms: ModuliSet, modulus: int, g: int, h: int, case=RangeCase.CASE1
-) -> RnsBarrettContext:
-    """Like make_context but taking the divisors as integers.
-
-    Because the moduli are pairwise coprime, a divisor that is a product of
-    set members decomposes into them uniquely; anything else is rejected.
-    """
-    return make_context(
-        ms,
-        modulus,
-        _indices_for_divisor(ms, g, "g"),
-        _indices_for_divisor(ms, h, "h"),
-        case,
     )
 
 

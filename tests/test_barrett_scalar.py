@@ -12,7 +12,6 @@ from rnsbarrett import (
     final_correct,
     make_params,
     modmul,
-    quotient_steps,
 )
 from rnsbarrett.barrett import divisor_condition, product_condition
 
@@ -107,10 +106,12 @@ class TestMakeParams:
 
 class TestEstimate:
     def test_golden_steps(self):
-        p = make_params(21, 20, 24)
-        assert quotient_steps(380, p) == (19, 418, 17)
-        p3 = make_params(21, 10, 89)
-        assert quotient_steps(380, p3) == (38, 1596, 17)
+        for (g, h), steps in {(20, 24): (19, 418, 17), (10, 89): (38, 1596, 17)}.items():
+            p = make_params(21, g, h)
+            d = 380 // p.g
+            e = d * p.mu
+            assert (d, e, e // p.h) == steps
+            assert estimate_quotient(380, p) == e // p.h
 
     def test_zero(self):
         assert estimate_quotient(0, make_params(21, 20, 24)) == 0

@@ -1,11 +1,24 @@
 """Command-line behavior: outputs, parameter files, traces, exit codes."""
 
 import random
+import sys
 from importlib import resources
 
-from rnsbarrett import dump_params, load_params, parse_params, select_context
+import pytest
+
+from rnsbarrett import dump_params, load_params, select_context
 from rnsbarrett.cli import main
+from rnsbarrett.paramfile import loads
 from rnsbarrett.selection import MAX_WORD_BITS
+
+
+# 4516 decimal digits, past the default limit of str() on integers.
+HUGE_HEX = hex((1 << 15000) - 1)
+
+needs_str_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 0,
+    reason="this interpreter renders integers of any length",
+)
 
 
 def bundled_params_path():
@@ -135,7 +148,7 @@ class TestParams:
 
     def test_round_trip_equals_context(self):
         ctx = select_context(97, 2, 8)
-        assert parse_params(dump_params(ctx)) == ctx
+        assert loads(dump_params(ctx)) == ctx
 
 
 class TestExitCodes:
@@ -171,6 +184,19 @@ class TestExitCodes:
             capsys, "params", "--modulus", "21", "--case", "4", "--word-bits", "4",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("moduli", ["4, 6, 7, 11", "1, 5, 7, 11"])
+    def test_unusable_moduli_from_file_are_exit_2(self, capsys, tmp_path, moduli):
+        bad = tmp_path / "bad.params"
+        bad.write_text(
+            f"moduli: {moduli}\nN: 21\ng_indices: 1, 2\nh_indices: 1, 3\ncase: 1\n",
+            encoding="utf-8",
+        )
+        code, _, err = run(
+            capsys, "modmul", "--modulus", "21", "20", "19", "--params", str(bad),
+        )
+        assert code == 2
+        assert err.startswith("error: ")
 
     def test_condition_failure_from_file_is_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.params"
@@ -214,3 +240,39 @@ class TestExitCodes:
     def test_negative_exponent(self, capsys):
         code, _, _ = run(capsys, "modexp", "--modulus", "21", "2", "-3")
         assert code == 1
+
+
+@needs_str_limit
+class TestIntegersTooLongToPrint:
+    def test_huge_operand(self, capsys):
+        code, out, err = run(capsys, "modmul", "--modulus", "21", HUGE_HEX, "1")
+        assert (code, out) == (1, "")
+        assert err == "error: operand A = <15000-bit integer> not in [0, 21)\n"
+
+    def test_huge_base(self, capsys):
+        code, out, err = run(capsys, "modexp", "--modulus", "21", HUGE_HEX, "3")
+        assert (code, out) == (1, "")
+        assert err == "error: base X = <15000-bit integer> not in [0, 63)\n"
+
+    @pytest.mark.parametrize("command", [
+        ["modmul", "--modulus", HUGE_HEX, "2", "3"],
+        ["modexp", "--modulus", HUGE_HEX, "2", "3"],
+        ["params", "--modulus", HUGE_HEX],
+    ])
+    def test_huge_modulus_refused_up_front(self, capsys, command):
+        code, out, err = run(capsys, *command)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: modulus <15000-bit integer> is too long for its results "
+            "to print in decimal\n"
+        )
+
+    def test_longest_printable_modulus(self, capsys):
+        # Results below 3*N print exactly while 3*N has at most the limit's
+        # number of digits.
+        n = (10 ** sys.get_int_max_str_digits() - 1) // 3
+        code, out, _ = run(capsys, "modmul", "--modulus", hex(n), "2", "3")
+        assert (code, out) == (0, "6\n")
+        code, out, err = run(capsys, "modmul", "--modulus", hex(n + 1), "2", "3")
+        assert (code, out) == (1, "")
+        assert "too long" in err

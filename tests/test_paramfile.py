@@ -7,8 +7,8 @@ from rnsbarrett import (
     dump_params,
     make_context,
     make_moduli_set,
-    parse_params,
 )
+from rnsbarrett.paramfile import loads
 
 EXAMPLE_TEXT = """\
 # comment lines and blanks are fine
@@ -22,7 +22,7 @@ case: 1
 
 
 def test_parse_example():
-    ctx = parse_params(EXAMPLE_TEXT)
+    ctx = loads(EXAMPLE_TEXT)
     assert ctx.params.modulus == 21
     assert ctx.params.g == 20
     assert ctx.params.h == 28
@@ -32,7 +32,7 @@ def test_parse_example():
 def test_dump_then_parse_round_trip():
     ms = make_moduli_set([4, 5, 7, 11])
     ctx = make_context(ms, 21, (0, 1), (0, 2))
-    assert parse_params(dump_params(ctx)) == ctx
+    assert loads(dump_params(ctx)) == ctx
 
 
 def test_indices_follow_file_order():
@@ -41,7 +41,7 @@ def test_indices_follow_file_order():
         "moduli: 11, 4, 7, 5\nN: 21\n"
         "g_indices: 2, 4\nh_indices: 2, 3\ncase: 1\n"
     )
-    ctx = parse_params(text)
+    ctx = loads(text)
     assert ctx.params.g == 20
     assert ctx.params.h == 28
     assert ctx.mset.moduli == (4, 5, 7, 11)
@@ -49,7 +49,7 @@ def test_indices_follow_file_order():
 
 def test_empty_g_indices_means_unit_divisor():
     text = "moduli: 9, 11, 13\nN: 5\ng_indices:\nh_indices: 1, 2\ncase: 1\n"
-    ctx = parse_params(text)
+    ctx = loads(text)
     assert ctx.params.g == 1
 
 
@@ -67,10 +67,10 @@ def test_empty_g_indices_means_unit_divisor():
 )
 def test_malformed_files_raise_value_error(mangle):
     with pytest.raises(ValueError):
-        parse_params(mangle(EXAMPLE_TEXT))
+        loads(mangle(EXAMPLE_TEXT))
 
 
 def test_unsound_configuration_raises_condition_violation():
     text = "moduli: 4, 5, 7\nN: 21\ng_indices: 1, 2\nh_indices: 1, 3\ncase: 1\n"
     with pytest.raises(ConditionViolation):
-        parse_params(text)
+        loads(text)

@@ -8,14 +8,13 @@ import pytest
 import rnsbarrett.rns_barrett
 from rnsbarrett import (
     ConditionViolation,
-    ContextMismatch,
     RangeCase,
+    SetMismatch,
     bmm,
     decode_crt,
     encode,
     load_params,
     make_context,
-    make_context_from_divisors,
     make_moduli_set,
     modmul,
     trace_bmm,
@@ -38,20 +37,6 @@ class TestMakeContext:
         assert ctx.params.mu == 26
         assert ctx.mu_rv.values == (2, 1, 5, 4)
         assert ctx.n_rv.values == (1, 1, 0, 10)
-
-    def test_divisor_resolution(self):
-        ctx = make_context_from_divisors(EX_SET, 21, 20, 28)
-        assert ctx.g_indices == (0, 1)
-        assert ctx.h_indices == (0, 2)
-
-    def test_h_must_divide_moduli_product(self):
-        with pytest.raises(ConditionViolation, match="does not divide"):
-            make_context_from_divisors(EX_SET, 21, 20, 24)
-
-    def test_divisor_must_be_subset_product(self):
-        # 2 divides 1540 but is not a product of whole moduli
-        with pytest.raises(ConditionViolation, match="not a product"):
-            make_context_from_divisors(EX_SET, 21, 2, 28)
 
     def test_capacity_violation(self):
         small = make_moduli_set([4, 5, 7])  # product 140 < 28 * 21
@@ -95,7 +80,7 @@ class TestBmm:
     def test_context_mismatch(self):
         ctx = example_context()
         other = make_moduli_set([3, 5, 8, 11])
-        with pytest.raises(ContextMismatch):
+        with pytest.raises(SetMismatch):
             bmm(encode(20, other), encode(19, other), ctx)
 
     def test_trace_golden_rows(self):

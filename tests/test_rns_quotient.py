@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from rnsbarrett import (
     ModuliPartition,
-    PartitionMismatch,
     ResidueVector,
+    SetMismatch,
     decode_crt,
     encode,
     make_moduli_set,
@@ -26,7 +26,6 @@ class TestPartition:
     def test_products(self):
         part = ModuliPartition(EX_SET, (0, 1))
         assert part.divisor_product == 20
-        assert part.remaining_product == 77
         assert part.remaining_indices == (2, 3)
 
     def test_non_prefix_subset(self):
@@ -46,7 +45,7 @@ class TestPartition:
 
     def test_mismatch(self):
         other = make_moduli_set([3, 5, 8])
-        with pytest.raises(PartitionMismatch):
+        with pytest.raises(SetMismatch):
             quotient_by_moduli_product(encode(1, other), ModuliPartition(EX_SET, (0,)))
 
 
