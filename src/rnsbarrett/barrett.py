@@ -12,20 +12,17 @@ whenever g and h satisfy the conditions of the chosen range case. Freeing
 the divisors from powers of two is what lets the residue pipeline in
 ``rns_barrett`` pick them as subproducts of its moduli.
 
-Range cases (n is the modulus):
+Each range case is one row of ``RangeCase``, which holds every constant
+of the case: the input and output bounds as multiples of n, the factors
+d, f and c of its three inequalities
 
-    case 1: inputs < n    outputs < 3n    g < n     n^2   <= g*h
-    case 2: inputs < 3n   outputs < 3n    g < n     9n^2  <= g*h
-    case 3: inputs < n    outputs < 2n    2g < n    2n^2  <= g*h
-    case 4: inputs < 2n   outputs < 2n    2g < n    8n^2  <  g*h
+    d*g < n        f*n^2 <= g*h (or <)        c*h*n < M
 
-Cases 1 and 2 guarantee a quotient estimate within 2 of the truth, cases 3
-and 4 within 1. Cases 2 and 4 are closed (inputs and outputs occupy the
-same range), which chained multiplication needs. g and h need not be
-coprime, and g = 1 is allowed. The divisor and product inequalities, and
-the residue context's capacity condition c*h*n < M (c = 1, 9, 2, 4), are
-stated once here as named checks that ``make_params``, ``make_context``
-and the CLI's ``params`` table read.
+where M is the moduli product of a residue context, and the worst
+undershoot of the quotient estimate. g and h need not be coprime, and
+g = 1 is allowed. The rules are stated once here, as one predicate per
+inequality, which ``make_params``, ``make_context``, the CLI's ``params``
+table and ``select_context`` all read.
 """
 
 from dataclasses import dataclass
@@ -36,42 +33,57 @@ from .errors import ConditionViolation, InputOutOfRange, int_text
 
 
 class RangeCase(Enum):
-    """One (input range, output range) regime and its divisor conditions."""
+    """One (input range, output range) regime and every constant of its rules."""
 
-    def __new__(cls, number, input_bound, output_bound, product_factor, capacity_factor):
+    def __new__(cls, number, *constants):
         obj = object.__new__(cls)
         obj._value_ = number
-        obj.input_bound = input_bound
-        obj.output_bound = output_bound
-        obj.product_factor = product_factor
-        obj.capacity_factor = capacity_factor
+        (obj.input_bound, obj.output_bound, obj.divisor_factor, obj.product_factor,
+         obj.strict_product, obj.capacity_factor, obj.quotient_slack) = constants
         return obj
 
-    #        number, k_in, k_out, product factor, capacity factor
-    CASE1 = (1, 1, 3, 1, 1)
-    CASE2 = (2, 3, 3, 9, 9)
-    CASE3 = (3, 1, 2, 2, 2)
-    CASE4 = (4, 2, 2, 8, 4)
+    # number, k_in, k_out, d, f, f*n^2 < g*h strictly, c, estimate undershoot
+    CASE1 = (1, 1, 3, 1, 1, False, 1, 2)
+    CASE2 = (2, 3, 3, 1, 9, False, 9, 2)
+    CASE3 = (3, 1, 2, 2, 2, False, 2, 1)
+    CASE4 = (4, 2, 2, 2, 8, True, 4, 1)
 
     @property
     def halves_g(self) -> bool:
         """Whether the case requires 2*g < n instead of g < n."""
-        return self.value in (3, 4)
-
-    @property
-    def strict_product(self) -> bool:
-        """Whether the g*h lower bound is strict (case 4 only)."""
-        return self.value == 4
+        return self.divisor_factor == 2
 
     @property
     def closed(self) -> bool:
         """Inputs and outputs share one range, so calls can be chained."""
         return self.input_bound == self.output_bound
 
-    @property
-    def quotient_slack(self) -> int:
-        """Worst-case undershoot of the quotient estimate."""
-        return 2 if self.value in (1, 2) else 1
+    # One predicate per inequality. A bound that depends on n alone is its
+    # own method, so that a search over g and h computes it once.
+    def divisor_holds(self, modulus: int, g: int) -> bool:
+        """d*g < n."""
+        return self.divisor_factor * g < modulus
+
+    def max_g(self, modulus: int) -> int:
+        """The largest g with d*g < n: the divisor condition solved for g."""
+        return (modulus - 1) // self.divisor_factor
+
+    def product_floor(self, modulus: int) -> int:
+        """f*n^2."""
+        return self.product_factor * modulus * modulus
+
+    def product_holds(self, gh: int, floor: int) -> bool:
+        """f*n^2 <= g*h, or < where strict, with ``floor`` = f*n^2."""
+        return gh > floor if self.strict_product else gh >= floor
+
+    def capacity_bound(self, modulus: int, h: int) -> int:
+        """c*h*n."""
+        return self.capacity_factor * h * modulus
+
+    @staticmethod
+    def capacity_holds(bound: int, product: int) -> bool:
+        """c*h*n < M, with ``bound`` = c*h*n and ``product`` = M."""
+        return bound < product
 
 
 class Condition(NamedTuple):
@@ -86,52 +98,44 @@ class Condition(NamedTuple):
     holds: bool
     failure: str
 
+    def require(self) -> None:
+        """Raise ConditionViolation with ``failure`` unless the inequality holds."""
+        if not self.holds:
+            raise ConditionViolation(self.failure)
+
+
+def _condition(name, holds, left, relation, right, label="", scale="") -> Condition:
+    """``name`` evaluated; only a failure renders ``scale*left relation right``."""
+    failure = "" if holds else (
+        f"{label}{name} fails: {scale}{int_text(left)} {relation} {int_text(right)}"
+    )
+    return Condition(name, holds, failure)
+
 
 def divisor_condition(modulus: int, g: int, case: RangeCase) -> Condition:
-    """g < n, or 2*g < n in cases 3 and 4."""
-    if case.halves_g:
-        holds = 2 * g < modulus
-        failure = (
-            "" if holds else f"2*g < n fails: 2*{int_text(g)} >= {int_text(modulus)}"
-        )
-        return Condition("2*g < n", holds, failure)
-    holds = g < modulus
-    failure = "" if holds else f"g < n fails: {int_text(g)} >= {int_text(modulus)}"
-    return Condition("g < n", holds, failure)
+    """d*g < n, written g < n when d = 1."""
+    d = "" if case.divisor_factor == 1 else f"{case.divisor_factor}*"
+    return _condition(f"{d}g < n", case.divisor_holds(modulus, g), g, ">=", modulus, scale=d)
 
 
 def product_condition(modulus: int, g: int, h: int, case: RangeCase) -> Condition:
-    """f*n^2 <= g*h, strict in case 4, with f the case's product factor."""
-    floor_bound = case.product_factor * modulus * modulus
+    """f*n^2 <= g*h, or f*n^2 < g*h where the case is strict."""
+    floor = case.product_floor(modulus)
     gh = g * h
-    if case.strict_product:
-        name = f"{case.product_factor}*n^2 < g*h"
-        holds = gh > floor_bound
-        failure = (
-            "" if holds else f"{name} fails: {int_text(gh)} <= {int_text(floor_bound)}"
-        )
-    else:
-        name = f"{case.product_factor}*n^2 <= g*h"
-        holds = gh >= floor_bound
-        failure = (
-            "" if holds else f"{name} fails: {int_text(gh)} < {int_text(floor_bound)}"
-        )
-    return Condition(name, holds, failure)
+    relation, failed = ("<", "<=") if case.strict_product else ("<=", "<")
+    name = f"{case.product_factor}*n^2 {relation} g*h"
+    return _condition(name, case.product_holds(gh, floor), gh, failed, floor)
 
 
 def capacity_condition(modulus: int, h: int, product: int, case: RangeCase) -> Condition:
-    """c*h*n < M, with c the case's capacity factor and M a moduli product.
+    """c*h*n < M, with M a moduli product.
 
     It keeps every intermediate of a residue-form pass below M.
     """
+    bound = case.capacity_bound(modulus, h)
     name = f"{case.capacity_factor}*h*n < M"
-    bound = case.capacity_factor * h * modulus
-    holds = bound < product
-    failure = (
-        "" if holds
-        else f"capacity {name} fails: {int_text(bound)} >= {int_text(product)}"
-    )
-    return Condition(name, holds, failure)
+    holds = case.capacity_holds(bound, product)
+    return _condition(name, holds, bound, ">=", product, "capacity ")
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,6 +147,11 @@ class BarrettParams:
     h: int
     mu: int
     case: RangeCase
+
+    @property
+    def input_limit(self) -> int:
+        """Operands must lie in [0, input_limit): input_bound * modulus."""
+        return self.case.input_bound * self.modulus
 
 
 def make_params(modulus: int, g: int, h: int, case=RangeCase.CASE1) -> BarrettParams:
@@ -157,12 +166,8 @@ def make_params(modulus: int, g: int, h: int, case=RangeCase.CASE1) -> BarrettPa
         raise ConditionViolation(
             f"divisors must be positive: g = {int_text(g)}, h = {int_text(h)}"
         )
-    for condition in (
-        divisor_condition(modulus, g, case),
-        product_condition(modulus, g, h, case),
-    ):
-        if not condition.holds:
-            raise ConditionViolation(condition.failure)
+    divisor_condition(modulus, g, case).require()
+    product_condition(modulus, g, h, case).require()
     return BarrettParams(modulus, g, h, g * h // modulus, case)
 
 
@@ -184,7 +189,7 @@ def modmul(a: int, b: int, p: BarrettParams) -> int:
     representative rather than the canonical remainder; feed it to
     ``final_correct`` when the canonical value is needed.
     """
-    limit = p.case.input_bound * p.modulus
+    limit = p.input_limit
     if not 0 <= a < limit:
         raise InputOutOfRange(f"operand {int_text(a)} not in [0, {int_text(limit)})")
     if not 0 <= b < limit:

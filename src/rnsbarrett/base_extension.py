@@ -55,16 +55,12 @@ def base_extend(x: PartialResidueVector) -> ResidueVector:
     values = x.values
     if not values:
         raise EmptyKnownSet("nothing to extend from")
-    if len(values) == n:
-        return ResidueVector._reduced(tuple(values[i] for i in range(n)), ms)
-
+    # The known residues reach ``rows.order`` in the dict's own order: a
+    # quotient's hand-over order, or the peel order of rows built here.
     rows = x._extend_rows
     if rows is None:
-        rows = PeelRows(ms, x.known, [i for i in range(n) if i not in values])
-        known = list(map(values.__getitem__, rows.peel))
-    else:
-        known = x._known
+        rows = PeelRows(ms, tuple(values), [i for i in range(n) if i not in values])
     extended = _peel(rows, moduli, values, divide=False)[1]
     return ResidueVector._reduced(
-        tuple(map((known + extended).__getitem__, rows.order)), ms
+        tuple(map([*values.values(), *extended].__getitem__, rows.order)), ms
     )

@@ -40,6 +40,13 @@ def _number(text: str) -> int:
             return int(text, 16)
         return int(text, 10)
     except ValueError:
+        digits = text.strip().lstrip("+-").replace("_", "")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and len(digits) > limit and digits.isdecimal():  # valid, but too long
+            raise _UsageError(
+                f"decimal number {text[:12]!r}... is too long to parse "
+                f"({len(digits)} digits, limit {limit}); write it in 0x hex"
+            ) from None
         raise _UsageError(f"not a number: {text!r}") from None
 
 
@@ -147,7 +154,7 @@ def _cmd_modmul(args) -> int:
     a = _number(args.a)
     b = _number(args.b)
     ctx = _context_for(args, n, default_case=1)
-    limit = ctx.params.case.input_bound * n
+    limit = ctx.params.input_limit
     for name, value in (("A", a), ("B", b)):
         if not 0 <= value < limit:
             raise _UsageError(
@@ -168,7 +175,7 @@ def _cmd_modexp(args) -> int:
     if e < 0:
         raise _UsageError(f"exponent must be nonnegative, got {int_text(e)}")
     ctx = _context_for(args, n, default_case=2)
-    limit = ctx.params.case.input_bound * n
+    limit = ctx.params.input_limit
     if not 0 <= x < limit:
         raise _UsageError(f"base X = {int_text(x)} not in [0, {int_text(limit)})")
     y = bmm_modexp(encode(x, ctx.mset), e, ctx)

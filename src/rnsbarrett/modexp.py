@@ -85,7 +85,7 @@ def bmm_modexp(
         )
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
-    limit = case.input_bound * ctx.params.modulus
+    limit = ctx.params.input_limit
     if decode_crt(x) >= limit:
         raise InputOutOfRange(f"decoded base not below {int_text(limit)}")
     if exponent == 0:

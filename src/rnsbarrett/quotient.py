@@ -15,11 +15,11 @@ complete description, since the quotient is smaller than the product of
 the surviving moduli.
 
 A stage is one pass over plain sequences: the peel indexes the dividend's
-residue tuple directly, and the quotient's residues come out as a list in
-the rest order of the divide rows. The result carries that list and the
-partition's extension rows, whose ``order`` was built for that hand-over
-layout, so the base extension that follows neither builds rows nor
-rearranges residues.
+residue tuple directly, and the quotient's residues come out in the rest
+order of the divide rows, which is the order of the result's dict. The
+result carries the partition's extension rows, whose ``order`` was built
+for that hand-over layout, so the base extension that follows neither
+builds rows nor rearranges residues.
 
 A context whose g and h are disjoint shares tables between its two
 stages (``ModuliPartition._pair``). With x the channels in neither g nor
@@ -150,7 +150,7 @@ def quotient_by_moduli_product(
     it is below the product of the surviving moduli the returned partial
     vector determines it uniquely. Divisor-channel residues are consumed by
     the peeling and are deliberately absent from the result, which carries
-    the partition's ``extend_rows`` and its own residues as a list in
+    the partition's ``extend_rows`` and lists its residues in
     ``divide_rows.rest`` order, the layout ``extend_rows.order`` was built
     for, so that ``base_extend`` builds and rearranges nothing.
     """
@@ -158,7 +158,5 @@ def quotient_by_moduli_product(
     if x.mset is not mset and x.mset != mset:
         raise SetMismatch("partition and vector use different moduli sets")
     rows = part.divide_rows
-    quotient = _peel(rows, mset.moduli, x.values)[1]
-    return PartialResidueVector._reduced(
-        dict(zip(rows.rest, quotient)), mset, part.extend_rows, quotient
-    )
+    values = dict(zip(rows.rest, _peel(rows, mset.moduli, x.values)[1]))
+    return PartialResidueVector._reduced(values, mset, part.extend_rows)

@@ -146,12 +146,9 @@ class PartialResidueVector:
     values: dict[int, int]
     mset: ModuliSet
     # A quotient hands base extension its partition's rows, which peel the
-    # known channels and extend to the unknown ones, and the known residues
-    # as a list in those rows' hand-over order.
+    # known channels and extend to the unknown ones; it builds ``values`` in
+    # those rows' hand-over order.
     _extend_rows: "PeelRows | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _known: "list[int] | None" = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -168,18 +165,17 @@ class PartialResidueVector:
 
     @classmethod
     def _reduced(
-        cls, values: dict[int, int], mset: ModuliSet, extend_rows=None, known=None
+        cls, values: dict[int, int], mset: ModuliSet, extend_rows=None
     ) -> "PartialResidueVector":
         """A nonempty vector reduced by construction; skips validation.
 
-        ``known`` must list ``values`` in the hand-over order that
-        ``extend_rows.order`` was built for.
+        With ``extend_rows``, ``values`` must iterate in the hand-over order
+        that ``extend_rows.order`` was built for.
         """
         prv = object.__new__(cls)
         prv.values = values
         prv.mset = mset
         prv._extend_rows = extend_rows
-        prv._known = known
         return prv
 
     @property

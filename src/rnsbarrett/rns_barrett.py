@@ -20,7 +20,7 @@ from math import prod
 
 from .barrett import BarrettParams, RangeCase, capacity_condition, make_params
 from .base_extension import base_extend
-from .errors import ConditionViolation, SetMismatch
+from .errors import SetMismatch
 from .quotient import ModuliPartition, _sorted_indices, quotient_by_moduli_product
 from .rns import ModuliSet, PartialResidueVector, ResidueVector, encode
 
@@ -86,16 +86,13 @@ def make_context(
     would wrap around M and the residues would stop describing the true
     integers. Raises ConditionViolation naming whichever condition fails.
     """
-    case = RangeCase(case)
     n = len(ms.moduli)
     g_idx = _sorted_indices(n, g_indices, "g_indices")
     h_idx = _sorted_indices(n, h_indices, "h_indices")
     g = prod((ms.moduli[i] for i in g_idx), start=1)
     h = prod((ms.moduli[i] for i in h_idx), start=1)
     params = make_params(modulus, g, h, case)
-    capacity = capacity_condition(modulus, h, ms.product, case)
-    if not capacity.holds:
-        raise ConditionViolation(capacity.failure)
+    capacity_condition(modulus, h, ms.product, params.case).require()
     return RnsBarrettContext(
         mset=ms,
         params=params,

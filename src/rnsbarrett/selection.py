@@ -81,8 +81,7 @@ def select_context(
 
     top = (1 << word_bits) - 1
 
-    # Largest admissible g value for the case's divisor bound.
-    g_cap = (modulus - 1) // 2 if case.halves_g else modulus - 1
+    g_cap = case.max_g(modulus)
     if g_cap < 1:
         raise SelectionFailed(
             f"no admissible g exists for modulus {modulus} under case {case.value}"
@@ -114,9 +113,9 @@ def select_context(
     g_moduli = list(chosen)
 
     # Here product == g * h, so the condition is tested only when h grows.
-    goal = case.product_factor * modulus * modulus
+    floor = case.product_floor(modulus)
     cand = top
-    while not (product > goal if case.strict_product else product >= goal):
+    while not case.product_holds(product, floor):
         cand = _next_coprime(cand, product, small)
         if cand < 2:
             raise SelectionFailed(
@@ -127,8 +126,8 @@ def select_context(
     h_moduli = chosen[len(g_moduli):]
     h_value = product // g_value
 
-    capacity_goal = case.capacity_factor * h_value * modulus
-    while product <= capacity_goal:
+    capacity_bound = case.capacity_bound(modulus, h_value)
+    while not case.capacity_holds(capacity_bound, product):
         cand = _next_coprime(cand, product, small)
         if cand < 2:
             raise SelectionFailed(

@@ -1,6 +1,8 @@
 """Scalar generalized Barrett reduction: goldens, bounds, and conditions."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from rnsbarrett import (
     make_params,
     modmul,
 )
-from rnsbarrett.barrett import divisor_condition, product_condition
+from rnsbarrett.barrett import capacity_condition, divisor_condition, product_condition
 
 
 def random_case_instance(rng, case):
@@ -45,6 +47,36 @@ class TestRangeCase:
 
     def test_lookup_by_number(self):
         assert RangeCase(3) is RangeCase.CASE3
+
+    @pytest.mark.parametrize("case", list(RangeCase))
+    def test_solved_divisor_bound_matches_predicate(self, case):
+        for n in range(2, 201):
+            g_max = case.max_g(n)
+            for g in range(1, n + 2):
+                assert case.divisor_holds(n, g) == (g <= g_max)
+                assert divisor_condition(n, g, case).holds == (g <= g_max)
+
+    def test_readme_table_matches_rows(self):
+        """README's "Range cases" table states what the rows and conditions hold."""
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = text.split("## Range cases", 1)[1].split("\n\n", 2)[1]
+        rows = [line.split("|")[1:-1] for line in table.splitlines()[2:]]
+
+        def times(k: int, symbol: str) -> str:
+            return symbol if k == 1 else f"{k}{symbol}"
+
+        def readme_form(name: str) -> str:  # "2*g < n" -> "2g < N"
+            return re.sub(r"\b1\*|(?<=\d)\*", "", name).replace("n", "N")
+
+        assert [int(row[0]) for row in rows] == [c.value for c in RangeCase]
+        for row, case in zip(rows, RangeCase):
+            inputs, outputs, bounds, capacity, error = (cell.strip() for cell in row[1:])
+            assert inputs == f"`< {times(case.input_bound, 'N')}`"
+            assert outputs == f"`< {times(case.output_bound, 'N')}`"
+            names = divisor_condition(7, 1, case).name, product_condition(7, 1, 1, case).name
+            assert bounds == ", ".join(f"`{readme_form(name)}`" for name in names)
+            assert capacity == f"`{readme_form(capacity_condition(7, 1, 1, case).name)}`"
+            assert error == f"at most {case.quotient_slack}"
 
 
 class TestMakeParams:

@@ -1,6 +1,7 @@
 """Base extension against direct encoding, with seed-independence checks."""
 
 import random
+from itertools import permutations
 from math import prod
 
 import pytest
@@ -57,6 +58,17 @@ def test_exhaustive_small_ring():
         bound = prod(ms.moduli[i] for i in known)
         for x in range(bound):
             partial = PartialResidueVector({i: x % ms.moduli[i] for i in known}, ms)
+            assert base_extend(partial) == encode(x, ms)
+
+
+def test_hand_built_vector_in_any_key_order():
+    # Rows built per call peel the known channels in the dict's own order.
+    ms = make_moduli_set([3, 4, 5, 7])
+    for known in permutations(range(4), 3):
+        bound = prod(ms.moduli[i] for i in known)
+        for x in range(0, bound, 7):
+            partial = PartialResidueVector({i: x % ms.moduli[i] for i in known}, ms)
+            assert list(partial.values) == list(known)
             assert base_extend(partial) == encode(x, ms)
 
 

@@ -276,3 +276,15 @@ class TestIntegersTooLongToPrint:
         code, out, err = run(capsys, "modmul", "--modulus", hex(n + 1), "2", "3")
         assert (code, out) == (1, "")
         assert "too long" in err
+
+    def test_decimal_operand_past_the_parse_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "modmul", "--modulus", "21", "1" * (limit + 100), "1")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: decimal number '111111111111'... is too long to parse "
+            f"({limit + 100} digits, limit {limit}); write it in 0x hex\n"
+        )
+        # The same value in hex parses, and is refused only as out of range.
+        code, _, err = run(capsys, "modmul", "--modulus", "21", hex(int("1" * 40)), "1")
+        assert code == 1 and "not in [0, 21)" in err

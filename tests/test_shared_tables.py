@@ -154,7 +154,8 @@ def test_extension_order_restores_channel_order(ctx):
         # The quotient hands its residues over in the divide rows' rest order.
         q = quotient_by_moduli_product(x, part)
         assert list(q.values) == list(head.rest)
-        assert q._known == list(q.values.values())
+        quotient = (ms.product - 1) // part.divisor_product
+        assert list(q.values.values()) == [quotient % ms.moduli[i] for i in head.rest]
         assert q._extend_rows is table
         layout = head.rest + table.rest
         assert [layout[t] for t in table.order] == channels

@@ -4,10 +4,11 @@ Each stage is compared with an oracle that shares no code with channel
 peeling: ``encode`` of the big-integer result for the stages, the scalar
 ``barrett.modmul`` for ``bmm``. The shapes are the ones the peeling rows
 handle specially: one-channel divisor and remaining sets, g = 1, g and h
-overlapping, h leaving a single channel, 62-bit moduli, and moduli too wide
-for 64-bit arrays. The packed accumulator of the peeling is checked at its
-worst case, every digit at its largest, against exact per-lane sums and a
-one-modulus-at-a-time peel.
+overlapping, h leaving a single channel, 62-bit moduli, moduli too wide for
+64-bit arrays, and the smallest capacity margin in each range case. The
+packed accumulator of the peeling is checked at its worst case, every digit
+at its largest, against exact per-lane sums and a one-modulus-at-a-time
+peel.
 """
 
 import random
@@ -30,6 +31,7 @@ from rnsbarrett import (
     select_context,
     trace_bmm,
 )
+from rnsbarrett.barrett import capacity_condition
 from rnsbarrett.rns import PeelRows
 
 from helpers import peel_division, reference_peel
@@ -96,6 +98,45 @@ def test_h_leaves_one_channel(case, modulus, g_indices):
     ctx = make_context(SMALL_H_SET, modulus, g_indices, (0, 1, 2, 3, 4), case)
     assert len(ctx.h_indices) == len(ctx.mset.moduli) - 1
     check_bmm(ctx, random.Random(case))
+
+
+# Contexts with minimal capacity margin: c*h*N < M holds, and fails at N + 1.
+# One per case and shape, from a search over moduli in {4, 7, 9, 11, 13, 17,
+# 19, 23, 25}, each with the most operand pairs up to 4000.
+MINIMAL_MARGIN = [
+    # case, shape, moduli, g_indices, h_indices, N
+    (1, "g1", (7, 9, 11, 17, 25), (), (2, 3, 4), 62),
+    (1, "disjoint", (7, 9, 19, 25), (1,), (2, 3), 62),
+    (1, "overlap", (7, 9, 11, 25), (3,), (2, 3), 62),
+    (2, "g1", (9, 11, 17, 19, 25), (), (0, 3, 4), 20),
+    (2, "disjoint", (9, 11, 17, 25), (2,), (0, 3), 20),
+    (2, "overlap", (11, 13, 17, 25), (1,), (1, 3), 20),
+    (3, "g1", (7, 13, 17, 23, 25), (), (1, 3, 4), 59),
+    (3, "disjoint", (7, 17, 19, 25), (1,), (2, 3), 59),
+    (3, "overlap", (7, 13, 17, 25), (3,), (1, 3), 59),
+    (4, "g1", (9, 13, 17, 19, 25), (), (2, 3, 4), 29),
+    (4, "disjoint", (9, 13, 23, 25), (1,), (2, 3), 29),
+    (4, "overlap", (4, 7, 9, 17, 25), (2,), (0, 2, 4), 29),
+]
+
+
+@pytest.mark.parametrize(
+    "case, shape, moduli, g_indices, h_indices, modulus",
+    MINIMAL_MARGIN,
+    ids=[f"case{row[0]}-{row[1]}" for row in MINIMAL_MARGIN],
+)
+def test_minimal_capacity_margin(case, shape, moduli, g_indices, h_indices, modulus):
+    ms = make_moduli_set(moduli)
+    ctx = make_context(ms, modulus, g_indices, h_indices, case)
+    p = ctx.params
+    overlap = set(g_indices) & set(h_indices)
+    assert shape == ("g1" if p.g == 1 else "overlap" if overlap else "disjoint")
+    assert capacity_condition(modulus, p.h, ms.product, p.case).holds
+    assert not capacity_condition(modulus + 1, p.h, ms.product, p.case).holds
+    vectors = [encode(a, ms) for a in range(p.input_limit)]
+    for a, va in enumerate(vectors):
+        for b, vb in enumerate(vectors):
+            assert decode_crt(bmm(va, vb, ctx)) == modmul(a, b, p)
 
 
 def test_word_bits_62():
