@@ -27,13 +27,10 @@ The peel runs in Garner form (``rns.PeelRows``): one multiply-add per known
 channel on a packed accumulator that holds the pending sums of every later
 known channel and every unknown channel, and drops one w-bit lane per
 digit. With n-k known channels out of n that is n-k multiply-adds, on
-integers shrinking from n-1 lanes to k. The known residues, in the order
-the quotient handed them over, then the extended ones, in rest order, are
-put back in channel order through the rows' precomputed permutation
-(``PeelRows.order``), which was built for that layout. Together
-with the quotient that produced the known residues, a divide-and-extend
-stage costs n packed multiply-adds and one small multiply-add or reduction
-per channel.
+integers shrinking from n-1 lanes to k. Each known and each extended
+residue is then written at its own channel index. Together with the
+quotient that produced the known residues, a divide-and-extend stage costs
+n packed multiply-adds and one small multiply-add or reduction per channel.
 """
 
 from .errors import EmptyKnownSet
@@ -55,12 +52,13 @@ def base_extend(x: PartialResidueVector) -> ResidueVector:
     values = x.values
     if not values:
         raise EmptyKnownSet("nothing to extend from")
-    # The known residues reach ``rows.order`` in the dict's own order: a
-    # quotient's hand-over order, or the peel order of rows built here.
     rows = x._extend_rows
     if rows is None:
         rows = PeelRows(ms, tuple(values), [i for i in range(n) if i not in values])
     extended = _peel(rows, moduli, values, divide=False)[1]
-    return ResidueVector._reduced(
-        tuple(map([*values.values(), *extended].__getitem__, rows.order)), ms
-    )
+    full = [0] * n
+    for i, v in values.items():
+        full[i] = v
+    for i, v in zip(rows.rest, extended):
+        full[i] = v
+    return ResidueVector._reduced(tuple(full), ms)

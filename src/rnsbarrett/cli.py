@@ -47,7 +47,8 @@ def _number(text: str) -> int:
                 f"decimal number {text[:12]!r}... is too long to parse "
                 f"({len(digits)} digits, limit {limit}); write it in 0x hex"
             ) from None
-        raise _UsageError(f"not a number: {text!r}") from None
+        shown = repr(text) if len(text) <= 40 else f"{text[:12]!r}..."
+        raise _UsageError(f"not a number: {shown}") from None
 
 
 def _build_parser() -> _Parser:
@@ -221,8 +222,11 @@ def _cmd_params(args) -> int:
     if args.out is None:
         print(document, end="")
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(document)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(document)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out}: {exc}") from None
         print(f"wrote {args.out}")
     return 0
 

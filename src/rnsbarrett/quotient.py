@@ -15,11 +15,8 @@ complete description, since the quotient is smaller than the product of
 the surviving moduli.
 
 A stage is one pass over plain sequences: the peel indexes the dividend's
-residue tuple directly, and the quotient's residues come out in the rest
-order of the divide rows, which is the order of the result's dict. The
-result carries the partition's extension rows, whose ``order`` was built
-for that hand-over layout, so the base extension that follows neither
-builds rows nor rearranges residues.
+residue tuple directly, and the result carries the partition's extension
+rows, so the base extension that follows builds no rows.
 
 A context whose g and h are disjoint shares tables between its two
 stages (``ModuliPartition._pair``). With x the channels in neither g nor
@@ -76,10 +73,8 @@ class ModuliPartition:
     A pass reads two ``PeelRows``: ``divide_rows`` peel the divisor
     channels and update the surviving ones (the quotient), and
     ``extend_rows`` peel the surviving channels and update the divisor ones
-    (the base extension of that quotient). The quotient hands its residues
-    over in ``divide_rows.rest`` order, and ``extend_rows.order`` maps that
-    layout, then ``extend_rows.rest``, back to channel order. Construction
-    builds both tables, with the surviving channels ascending in both.
+    (the base extension of that quotient). Construction builds both tables,
+    with the surviving channels ascending in both.
     A context with disjoint g and h builds its two partitions over two
     shared tables instead (``_pair``); there the surviving channels come
     in another order. Nothing assigns to a partition once it is built.
@@ -117,17 +112,15 @@ class ModuliPartition:
 
         g and h must be disjoint. With x the channels in neither, the table
         that peels g + x and extends to h is the h-stage's extension, and
-        its head of |g| columns is the g-stage's divide rows, which hand
-        the quotient over in x + h order; the table that peels h + x and
-        extends to g serves the other way round. Each table's ``order`` is
-        built for the hand-over order of the stage it extends.
+        its head of |g| columns is the g-stage's divide rows; the table that
+        peels h + x and extends to g serves the other way round.
         """
         g, g_rest = _split(mset, g_indices)
         h, h_rest = _split(mset, h_indices)
         in_h = set(h)
         x = tuple(i for i in g_rest if i not in in_h)
-        extend_h = PeelRows(mset, g + x, h, handover=x + g)
-        extend_g = PeelRows(mset, h + x, g, handover=x + h)
+        extend_h = PeelRows(mset, g + x, h)
+        extend_g = PeelRows(mset, h + x, g)
 
         def stage(idx, remaining, divide_from, extend_rows):
             part = object.__new__(cls)
@@ -150,9 +143,7 @@ def quotient_by_moduli_product(
     it is below the product of the surviving moduli the returned partial
     vector determines it uniquely. Divisor-channel residues are consumed by
     the peeling and are deliberately absent from the result, which carries
-    the partition's ``extend_rows`` and lists its residues in
-    ``divide_rows.rest`` order, the layout ``extend_rows.order`` was built
-    for, so that ``base_extend`` builds and rearranges nothing.
+    the partition's ``extend_rows`` so that ``base_extend`` builds no rows.
     """
     mset = part.mset
     if x.mset is not mset and x.mset != mset:

@@ -146,8 +146,7 @@ class PartialResidueVector:
     values: dict[int, int]
     mset: ModuliSet
     # A quotient hands base extension its partition's rows, which peel the
-    # known channels and extend to the unknown ones; it builds ``values`` in
-    # those rows' hand-over order.
+    # known channels and extend to the unknown ones.
     _extend_rows: "PeelRows | None" = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -169,8 +168,8 @@ class PartialResidueVector:
     ) -> "PartialResidueVector":
         """A nonempty vector reduced by construction; skips validation.
 
-        With ``extend_rows``, ``values`` must iterate in the hand-over order
-        that ``extend_rows.order`` was built for.
+        ``extend_rows``, if given, must peel the channels that ``values``
+        holds and extend to the others.
         """
         prv = object.__new__(cls)
         prv.values = values
@@ -272,14 +271,6 @@ def _pack(lanes, size: int):
     return packed
 
 
-def _order(layout) -> array:
-    """Entry t is the position in ``layout`` of its t-th smallest channel."""
-    return array(
-        "H" if len(layout) <= 1 << 16 else "L",
-        sorted(range(len(layout)), key=layout.__getitem__),
-    )
-
-
 class PeelRows:
     """Packed columns for peeling an ordered set of channels.
 
@@ -307,13 +298,6 @@ class PeelRows:
     so a set with a modulus above 2**64 packs a list of lanes one at a
     time instead.
 
-    ``order`` is the permutation that puts values laid out as the peeled
-    channels in ``handover`` order, then the rest channels in rest order,
-    back in ascending channel order: entry t is the position in that layout
-    of the t-th smallest channel index. ``handover`` is the order in which
-    the peeled channels' residues reach a base extension, ``peel`` unless
-    given; base extension assembles its full vector through ``order``.
-
     Column l's lanes do not depend on which of the later channels are
     peeled, so the first k columns of these rows are also the columns of
     rows that peel only ``peel[:k]`` and keep the others, in the same
@@ -326,9 +310,9 @@ class PeelRows:
     and safe to share between threads.
     """
 
-    __slots__ = ("peel", "rest", "columns", "width", "inverses", "order")
+    __slots__ = ("peel", "rest", "columns", "width", "inverses")
 
-    def __init__(self, ms: ModuliSet, peel, rest, handover=None):
+    def __init__(self, ms: ModuliSet, peel, rest):
         moduli = ms.moduli
         self.peel = tuple(peel)
         self.rest = tuple(rest)
@@ -357,8 +341,6 @@ class PeelRows:
         )
         inverses.extend(map(pow, lanes, repeat(-1), targets))
         self.inverses = _store(moduli)(inverses)
-        handover = self.peel if handover is None else tuple(handover)
-        self.order = _order(handover + self.rest)
 
     def head(self, ms: ModuliSet, k: int) -> "PeelRows":
         """Rows that peel ``peel[:k]``, keeping ``peel[k:] + rest``.
@@ -366,7 +348,7 @@ class PeelRows:
         The columns are this table's first k, the same integer objects, and
         the width is this table's, which may be a byte wider than rows built
         for k channels need. The first k inverses are this table's too; only
-        the rest inverses P_k^-1 mod m_i and ``order`` are computed here.
+        the rest inverses P_k^-1 mod m_i are computed here.
         On the channels of ``peel[k:]`` each is a modular inverse. On this
         table's rest channels it is the stored P_K^-1 times the tail
         product of ``peel[k:]``, since P_K is P_k times that tail.
@@ -391,7 +373,6 @@ class PeelRows:
                 ),
             ]
         )
-        rows.order = _order(self.peel + self.rest)
         return rows
 
 

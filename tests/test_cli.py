@@ -146,6 +146,14 @@ class TestParams:
         assert code == 0
         assert "moduli:" in out and "case: 1" in out
 
+    def test_unwritable_out_is_exit_1(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "x.params"
+        code, out, err = run(capsys, "params", "--modulus", "97", "--out", str(out_file))
+        assert code == 1
+        assert "conditions:" in out
+        assert err.startswith(f"error: cannot write {out_file}: ")
+        assert not out_file.exists()
+
     def test_round_trip_equals_context(self):
         ctx = select_context(97, 2, 8)
         assert loads(dump_params(ctx)) == ctx
@@ -164,6 +172,15 @@ class TestExitCodes:
     def test_unparsable_number(self, capsys):
         code, _, err = run(capsys, "modmul", "--modulus", "21", "twenty", "19")
         assert code == 1
+
+    def test_malformed_operand_is_shortened_past_40_characters(self, capsys):
+        code, _, err = run(capsys, "modmul", "--modulus", "21", "x" * 40, "19")
+        assert (code, err) == (1, f"error: not a number: {'x' * 40!r}\n")
+        code, _, err = run(capsys, "modmul", "--modulus", "21", "x" * 41, "19")
+        assert (code, err) == (1, f"error: not a number: {'x' * 12!r}...\n")
+        code, _, err = run(capsys, "modmul", "--modulus", "21", "1" * 2999 + "x", "1")
+        assert code == 1
+        assert len(err.encode()) < 100 and err.count("\n") == 1
 
     def test_operand_out_of_range(self, capsys):
         code, _, err = run(capsys, "modmul", "--modulus", "21", "21", "3")

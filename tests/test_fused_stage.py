@@ -70,7 +70,6 @@ def test_stages_above_255_channels():
     samples = [0, ms.product - 1, rng.randrange(ms.product)]
     for indices in (CTX_WIDE_N.g_indices, CTX_WIDE_N.h_indices):
         part = ModuliPartition(ms, indices)
-        assert max(part.extend_rows.order) > 255
         check_partition(part, samples)
 
 

@@ -16,8 +16,10 @@ from math import isqrt, prod
 import pytest
 
 from rnsbarrett import (
+    PartialResidueVector,
     RangeCase,
     RnsBarrettContext,
+    base_extend,
     bmm,
     decode_crt,
     encode,
@@ -79,6 +81,9 @@ SHARED = {
     "256-62": select_context(odd_modulus(62, 256), RangeCase.CASE4, 62),
     "wide": make_context(WIDE_SET, (1 << 100) + 277, (0,), (2, 3), RangeCase.CASE2),
 }
+# g and h overlap in example4, and g = 1 in unit-g: each builds its own tables.
+EXAMPLE4 = load_params(resources.files("rnsbarrett").joinpath("data/example4.json"))
+UNIT_G = make_context(SMALL_H_SET, 40, (), (0, 1, 2, 3, 4), RangeCase.CASE2)
 
 
 def outside(ctx) -> tuple[int, ...]:
@@ -145,22 +150,42 @@ def test_divide_rows_match_standalone_rows(ctx):
 
 
 @pytest.mark.parametrize("ctx", SHARED.values(), ids=SHARED.keys())
-def test_extension_order_restores_channel_order(ctx):
+def test_quotient_carries_the_extension_table(ctx):
     ms = ctx.mset
-    channels = list(range(len(ms.moduli)))
     x = encode(ms.product - 1, ms)
     for part, _ in stages(ctx):
         head, table = part.divide_rows, part.extend_rows
-        # The quotient hands its residues over in the divide rows' rest order.
+        # The quotient holds its residues on the divide rows' rest channels.
         q = quotient_by_moduli_product(x, part)
         assert list(q.values) == list(head.rest)
         quotient = (ms.product - 1) // part.divisor_product
         assert list(q.values.values()) == [quotient % ms.moduli[i] for i in head.rest]
         assert q._extend_rows is table
-        layout = head.rest + table.rest
-        assert [layout[t] for t in table.order] == channels
-        layout = head.peel + head.rest
-        assert [layout[t] for t in head.order] == channels
+
+
+# Every stage partition of the shared, example4 and unit-g contexts.
+EVERY_STAGE = [
+    pytest.param(part, id=f"{name}-{stage}")
+    for name, ctx in {**SHARED, "example4": EXAMPLE4, "unit-g": UNIT_G}.items()
+    for stage, part in (("g", ctx._g_partition), ("h", ctx._h_partition))
+    if part is not None
+]
+
+
+@pytest.mark.parametrize("part", EVERY_STAGE)
+def test_extension_ignores_the_quotients_key_order(part):
+    # base_extend writes each residue at its channel index, so a quotient
+    # whose dict iterates in any order extends to the same vector.
+    ms = part.mset
+    rng = random.Random(len(ms.moduli))
+    for value in (ms.product - 1, rng.randrange(ms.product)):
+        q = quotient_by_moduli_product(encode(value, ms), part)
+        want = encode(value // part.divisor_product, ms)
+        shuffled = list(q.values.items())
+        rng.shuffle(shuffled)
+        for items in (reversed(q.values.items()), shuffled):
+            reordered = PartialResidueVector._reduced(dict(items), ms, q._extend_rows)
+            assert base_extend(reordered) == want
 
 
 @pytest.mark.parametrize("ctx", SHARED.values(), ids=SHARED.keys())
@@ -251,11 +276,9 @@ def test_no_channel_outside_g_and_h():
 
 
 def test_overlapping_and_unit_g_contexts_build_their_own_tables():
-    example4 = load_params(resources.files("rnsbarrett").joinpath("data/example4.json"))
-    unit_g = make_context(SMALL_H_SET, 40, (), (0, 1, 2, 3, 4), RangeCase.CASE2)
-    assert set(example4.g_indices) & set(example4.h_indices)
-    assert unit_g._g_partition is None
-    for ctx in (example4, unit_g):
+    assert set(EXAMPLE4.g_indices) & set(EXAMPLE4.h_indices)
+    assert UNIT_G._g_partition is None
+    for ctx in (EXAMPLE4, UNIT_G):
         ms = ctx.mset
         for part in (ctx._g_partition, ctx._h_partition):
             if part is None:
@@ -268,5 +291,4 @@ def test_overlapping_and_unit_g_contexts_build_their_own_tables():
                 assert (rows.peel, rows.rest) == (alone.peel, alone.rest)
                 assert rows.width == alone.width
                 assert rows.columns == alone.columns
-                assert list(rows.order) == list(alone.order)
         check_pass(ctx, operand_pairs(ctx, 4))
