@@ -1,12 +1,13 @@
 """Command-line front end: multiply, exponentiate, and generate parameters.
 
-Exit codes: 0 on success, 1 for usage or parse problems, 2 when the
-package refuses the mathematics (a divisor or capacity condition fails, a
-parameter file's moduli are too small or share a factor, or no parameter
-set can be found).
+Exit codes: 0 on success, 1 for usage or parse problems and when standard
+output is closed early (a broken pipe), 2 when the package refuses the
+mathematics (a divisor or capacity condition fails, a parameter file's
+moduli are too small or share a factor, or no parameter set can be found).
 """
 
 import argparse
+import os
 import sys
 
 from .barrett import (
@@ -235,13 +236,22 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, so a closed pipe fails inside this try.
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RnsBarrettError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away (``| head``). Point stdout at devnull, so the
+        # interpreter's flush at exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,11 +1,15 @@
 """Command-line behavior: outputs, parameter files, traces, exit codes."""
 
+import os
 import random
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import rnsbarrett
 from rnsbarrett import dump_params, load_params, select_context
 from rnsbarrett.cli import main
 from rnsbarrett.paramfile import loads
@@ -257,6 +261,23 @@ class TestExitCodes:
     def test_negative_exponent(self, capsys):
         code, _, _ = run(capsys, "modexp", "--modulus", "21", "2", "-3")
         assert code == 1
+
+    def test_closed_stdout_is_exit_1_without_traceback(self):
+        # A reader that quits early, as ``| head -n 1`` does. The pipe is
+        # closed before the command writes, so its first write fails.
+        n = random.Random(2048).getrandbits(2048) | 1 << 2047 | 1
+        src = str(Path(rnsbarrett.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rnsbarrett.cli",
+             "params", "--modulus", str(n), "--word-bits", "30"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 @needs_str_limit
