@@ -49,11 +49,6 @@ class RangeCase(Enum):
     CASE4 = (4, 2, 2, 2, 8, True, 4, 1)
 
     @property
-    def halves_g(self) -> bool:
-        """Whether the case requires 2*g < n instead of g < n."""
-        return self.divisor_factor == 2
-
-    @property
     def closed(self) -> bool:
         """Inputs and outputs share one range, so calls can be chained."""
         return self.input_bound == self.output_bound

@@ -55,7 +55,7 @@ def base_extend(x: PartialResidueVector) -> ResidueVector:
     rows = x._extend_rows
     if rows is None:
         rows = PeelRows(ms, tuple(values), [i for i in range(n) if i not in values])
-    extended = _peel(rows, moduli, values, divide=False)[1]
+    extended = _peel(rows, moduli, values, divide=False)
     full = [0] * n
     for i, v in values.items():
         full[i] = v

@@ -17,7 +17,7 @@ from .barrett import (
     final_correct,
     product_condition,
 )
-from .errors import RnsBarrettError, int_text
+from .errors import RnsBarrettError, int_text, parse_int
 from .modexp import bmm_modexp, final_result
 from .paramfile import dumps as dump_params
 from .paramfile import load as load_params
@@ -37,19 +37,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _number(text: str) -> int:
     try:
-        if text.lower().startswith("0x"):
-            return int(text, 16)
-        return int(text, 10)
-    except ValueError:
-        digits = text.strip().lstrip("+-").replace("_", "")
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and len(digits) > limit and digits.isdecimal():  # valid, but too long
-            raise _UsageError(
-                f"decimal number {text[:12]!r}... is too long to parse "
-                f"({len(digits)} digits, limit {limit}); write it in 0x hex"
-            ) from None
-        shown = repr(text) if len(text) <= 40 else f"{text[:12]!r}..."
-        raise _UsageError(f"not a number: {shown}") from None
+        return parse_int(text)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _build_parser() -> _Parser:

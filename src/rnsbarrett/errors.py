@@ -3,8 +3,11 @@
 Every class maps to one failure mode of the public API. All inherit from
 RnsBarrettError so callers can catch the package's errors wholesale.
 Messages render integers through ``int_text``, so an operand too long for
-``str()`` cannot turn a named error into a ``ValueError``.
+``str()`` cannot turn a named error into a ``ValueError``. ``parse_int``
+reads the integers of the command line and of parameter files.
 """
+
+import sys
 
 
 def int_text(value: int) -> str:
@@ -19,6 +22,28 @@ def int_text(value: int) -> str:
     except ValueError:
         sign = "-" if value < 0 else ""
         return f"{sign}<{value.bit_length()}-bit integer>"
+
+
+def parse_int(text: str) -> int:
+    """The integer that decimal or ``0x`` hex ``text`` spells.
+
+    A ValueError shows at most a short prefix of ``text``; a valid decimal
+    past the str limit (see ``int_text``) is refused with a pointer to hex.
+    """
+    try:
+        if text.lower().startswith("0x"):
+            return int(text, 16)
+        return int(text, 10)
+    except ValueError:
+        digits = text.strip().lstrip("+-").replace("_", "")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and len(digits) > limit and digits.isdecimal():  # valid, but too long
+            raise ValueError(
+                f"decimal number {text[:12]!r}... is too long to parse "
+                f"({len(digits)} digits, limit {limit}); write it in 0x hex"
+            ) from None
+        shown = repr(text) if len(text) <= 40 else f"{text[:12]!r}..."
+        raise ValueError(f"not a number: {shown}") from None
 
 
 class RnsBarrettError(Exception):

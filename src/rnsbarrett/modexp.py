@@ -21,6 +21,7 @@ every chain value is a ``bmm`` output and so stays in that range.
 """
 
 import re
+from operator import index
 
 from .barrett import final_correct
 from .errors import CaseMismatch, InputOutOfRange, int_text
@@ -76,8 +77,10 @@ def bmm_modexp(
 
     ``check_intermediates`` decodes every table entry and every chain value
     and raises AssertionError if one leaves the closed range; it exists for
-    tests and costs one decode per multiply.
+    tests and costs one decode per multiply. Raises TypeError for a
+    non-integer exponent.
     """
+    exponent = index(exponent)
     case = ctx.params.case
     if not case.closed:
         raise CaseMismatch(

@@ -1,8 +1,10 @@
 """Reading and rendering of parameter files for the command-line tool.
 
 A parameter file is UTF-8 text with one ``key: value`` pair per line.
-Integers are decimal, lists are comma-separated, and channel indices are
-1-based (matching the summaries the tool prints). Blank lines and lines
+Integers are decimal or ``0x`` hex, lists are comma-separated, and
+channel indices are 1-based (matching the summaries the tool prints).
+``dumps`` writes N in hex only where ``str()`` refuses it, past 4300
+decimal digits by default (``errors.int_text``). Blank lines and lines
 starting with ``#`` are ignored. Exactly these keys are required:
 
     moduli: 4, 5, 7, 11
@@ -16,17 +18,24 @@ files diff-friendly so they can serve as golden fixtures.
 """
 
 from .barrett import RangeCase
+from .errors import int_text, parse_int
 from .rns import make_moduli_set
 from .rns_barrett import RnsBarrettContext, make_context
 
 _REQUIRED_KEYS = ("moduli", "N", "g_indices", "h_indices", "case")
 
 
+def _hex_if_too_long(value: int) -> str:
+    """Decimal text of ``value``, or ``0x`` hex where ``str()`` refuses it."""
+    text = int_text(value)
+    return hex(value) if text.startswith("<") else text
+
+
 def dumps(ctx: RnsBarrettContext) -> str:
     """Render a context as parameter-file text."""
     lines = [
         "moduli: " + ", ".join(str(m) for m in ctx.mset.moduli),
-        f"N: {ctx.params.modulus}",
+        f"N: {_hex_if_too_long(ctx.params.modulus)}",
         "g_indices: " + ", ".join(str(i + 1) for i in ctx.g_indices),
         "h_indices: " + ", ".join(str(i + 1) for i in ctx.h_indices),
         f"case: {ctx.params.case.value}",
@@ -36,9 +45,9 @@ def dumps(ctx: RnsBarrettContext) -> str:
 
 def _parse_int(token: str, where: str) -> int:
     try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"bad integer {token!r} in {where}") from None
+        return parse_int(token)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _parse_int_list(value: str, where: str) -> list[int]:

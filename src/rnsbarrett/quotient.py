@@ -18,16 +18,12 @@ A stage is one pass over plain sequences: the peel indexes the dividend's
 residue tuple directly, and the result carries the partition's extension
 rows, so the base extension that follows builds no rows.
 
-A context whose g and h are disjoint shares tables between its two
-stages (``ModuliPartition._pair``). With x the channels in neither g nor
-h, the rows that peel g + x and extend to h are the h-stage's extension,
-and their first |g| columns are the g-stage's divide rows with rest order
-x + h; the rows that peel h + x and extend to g serve the other way
-round. Two tables per context, not four.
+Which tables a context's two stages use is decided in one place,
+``_stage_partitions``: a context whose g is nonempty and disjoint from h
+shares two tables between its stages, not four.
 """
 
 from dataclasses import dataclass, field
-from math import prod
 
 from .errors import SetMismatch
 from .rns import (
@@ -76,68 +72,59 @@ class ModuliPartition:
     (the base extension of that quotient). Construction builds both tables,
     with the surviving channels ascending in both.
     A context with disjoint g and h builds its two partitions over two
-    shared tables instead (``_pair``); there the surviving channels come
-    in another order. Nothing assigns to a partition once it is built.
+    shared tables instead (``_stage_partitions``); there the surviving
+    channels come in another order. Nothing assigns to a partition once it
+    is built.
     """
 
     mset: ModuliSet
     divisor_indices: tuple[int, ...]
-    remaining_indices: tuple[int, ...] = field(init=False)
-    divisor_product: int = field(init=False)
     divide_rows: PeelRows = field(init=False, repr=False, compare=False)
     extend_rows: PeelRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx, remaining = _split(self.mset, self.divisor_indices)
-        self._fill(
-            idx,
-            remaining,
-            PeelRows(self.mset, idx, remaining),
-            PeelRows(self.mset, remaining, idx),
-        )
-
-    def _fill(self, idx, remaining, divide_rows, extend_rows) -> None:
-        """Set every field but ``mset`` from the split and its two rows."""
         self.divisor_indices = idx
-        self.remaining_indices = remaining
-        self.divisor_product = prod(self.mset.moduli[i] for i in idx)
-        self.divide_rows = divide_rows
-        self.extend_rows = extend_rows
+        self.divide_rows = PeelRows(self.mset, idx, remaining)
+        self.extend_rows = PeelRows(self.mset, remaining, idx)
 
-    @classmethod
-    def _pair(
-        cls, mset: ModuliSet, g_indices, h_indices
-    ) -> tuple["ModuliPartition", "ModuliPartition"]:
-        """The g- and h-stage partitions of one context, over two tables.
 
-        g and h must be disjoint. With x the channels in neither, the table
-        that peels g + x and extends to h is the h-stage's extension, and
-        its head of |g| columns is the g-stage's divide rows; the table that
-        peels h + x and extends to g serves the other way round.
-        """
-        g, g_rest = _split(mset, g_indices)
-        h, h_rest = _split(mset, h_indices)
-        in_h = set(h)
-        x = tuple(i for i in g_rest if i not in in_h)
-        extend_h = PeelRows(mset, g + x, h)
-        extend_g = PeelRows(mset, h + x, g)
+def _stage_partitions(
+    mset: ModuliSet, g_indices, h_indices
+) -> tuple[ModuliPartition | None, ModuliPartition]:
+    """The g- and h-stage partitions of one context; None for g = 1.
 
-        def stage(idx, remaining, divide_from, extend_rows):
-            part = object.__new__(cls)
-            part.mset = mset
-            part._fill(idx, remaining, divide_from.head(mset, len(idx)), extend_rows)
-            return part
+    With g nonempty and disjoint from h, and x the channels in neither,
+    the table that peels g + x and extends to h is the h-stage's
+    extension, and its head of |g| columns is the g-stage's divide rows;
+    the table that peels h + x and extends to g serves the other way
+    round. Otherwise each partition builds its own two tables.
+    """
+    if not g_indices or not set(g_indices).isdisjoint(h_indices):
+        g_part = ModuliPartition(mset, g_indices) if g_indices else None
+        return g_part, ModuliPartition(mset, h_indices)
+    g, g_rest = _split(mset, g_indices)
+    h = _split(mset, h_indices)[0]
+    in_h = set(h)
+    x = tuple(i for i in g_rest if i not in in_h)
+    extend_h = PeelRows(mset, g + x, h)
+    extend_g = PeelRows(mset, h + x, g)
 
-        return (
-            stage(g, g_rest, extend_h, extend_g),
-            stage(h, h_rest, extend_g, extend_h),
-        )
+    def stage(idx, divide_from, extend_rows):
+        part = object.__new__(ModuliPartition)
+        part.mset = mset
+        part.divisor_indices = idx
+        part.divide_rows = divide_from.head(mset, len(idx))
+        part.extend_rows = extend_rows
+        return part
+
+    return stage(g, extend_h, extend_g), stage(h, extend_g, extend_h)
 
 
 def quotient_by_moduli_product(
     x: ResidueVector, part: ModuliPartition
 ) -> PartialResidueVector:
-    """Residues of x // divisor_product on the surviving channels.
+    """Residues of x // P on the surviving channels, P the divisor moduli's product.
 
     The quotient is exact floor division of the encoded integer, and since
     it is below the product of the surviving moduli the returned partial
@@ -149,5 +136,5 @@ def quotient_by_moduli_product(
     if x.mset is not mset and x.mset != mset:
         raise SetMismatch("partition and vector use different moduli sets")
     rows = part.divide_rows
-    values = dict(zip(rows.rest, _peel(rows, mset.moduli, x.values)[1]))
+    values = dict(zip(rows.rest, _peel(rows, mset.moduli, x.values)))
     return PartialResidueVector._reduced(values, mset, part.extend_rows)

@@ -190,11 +190,6 @@ class PartialResidueVector:
         prv._extend_rows = extend_rows
         return prv
 
-    @property
-    def known(self) -> tuple[int, ...]:
-        """Indices that carry a residue, ascending."""
-        return tuple(sorted(self.values))
-
 
 def _runs(moduli) -> tuple[tuple[int, int], ...]:
     """Consecutive ``moduli`` grouped greedily into runs.
@@ -437,16 +432,17 @@ class PeelRows:
         return rows
 
 
-def _peel(rows: PeelRows, moduli, values, divide=True) -> tuple[list[int], list[int]]:
+def _peel(rows: PeelRows, moduli, values, divide=True) -> list[int]:
     """Peel ``rows.peel`` in one pass of the packed accumulator.
 
     ``values[k]`` is the residue on channel k, for every peeled channel and,
     when ``divide`` is true, every rest channel (a tuple, list or dict keyed
     by channel index). Each digit is read off the accumulator's lowest
     lane, which holds the sum that digit subtracts; the accumulator then
-    drops that lane and adds digit times column. After the K-th digit it
-    holds the sum S_i = sum_l d_l * P_l on every rest channel. Returns the
-    digits and one value per rest channel, in rest order:
+    drops that lane and adds digit times column. The digits are not kept:
+    after the K-th one the accumulator holds the sum S_i = sum_l d_l * P_l
+    on every rest channel. Returns one value per rest channel, in rest
+    order:
 
     - if ``divide``, the quotient residue (values[i] - S_i) * P_K^-1 mod m_i;
     - otherwise S_i mod m_i. The digits' positional sum is the integer the
@@ -459,19 +455,14 @@ def _peel(rows: PeelRows, moduli, values, divide=True) -> tuple[list[int], list[
     width = rows.width
     mask = (1 << width) - 1
     inverses = iter(rows.inverses)
-    digits = []
     acc = 0
     # The K-long columns go first, so zip stops without taking a rest inverse.
     for column, k, inverse in zip(rows.columns, rows.peel, inverses):
-        digit = (values[k] - (acc & mask)) * inverse % moduli[k]
-        digits.append(digit)
-        acc = (acc >> width) + digit * column
+        acc = (acc >> width) + (values[k] - (acc & mask)) * inverse % moduli[k] * column
     lanes = range(0, width * len(rows.rest), width)
     if divide:
-        return digits, [
+        return [
             (values[i] - (acc >> shift & mask)) * inverse % moduli[i]
             for i, shift, inverse in zip(rows.rest, lanes, inverses)
         ]
-    return digits, [
-        (acc >> shift & mask) % moduli[i] for i, shift in zip(rows.rest, lanes)
-    ]
+    return [(acc >> shift & mask) % moduli[i] for i, shift in zip(rows.rest, lanes)]

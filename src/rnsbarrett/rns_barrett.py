@@ -21,7 +21,8 @@ from math import prod
 from .barrett import BarrettParams, RangeCase, capacity_condition, make_params
 from .base_extension import base_extend
 from .errors import SetMismatch
-from .quotient import ModuliPartition, _sorted_indices, quotient_by_moduli_product
+from .quotient import ModuliPartition, _sorted_indices, _stage_partitions
+from .quotient import quotient_by_moduli_product
 from .rns import ModuliSet, PartialResidueVector, ResidueVector, encode
 
 
@@ -35,10 +36,10 @@ class RnsBarrettContext:
     immutable in use (nothing assigns to them after construction) and safe
     to share across threads.
 
-    When g and h are disjoint and g is nonempty, which is every context
-    ``select_context`` builds, the two stages' partitions share two peel
-    tables (``ModuliPartition._pair``); otherwise each partition builds its
-    own two.
+    The stages' partitions and the peel tables they share come from
+    ``quotient._stage_partitions``: two tables when g is nonempty and
+    disjoint from h, which is every context ``select_context`` builds, and
+    two per partition otherwise.
     """
 
     mset: ModuliSet
@@ -51,12 +52,9 @@ class RnsBarrettContext:
     _h_partition: ModuliPartition = field(init=False, repr=False)
 
     def __post_init__(self):
-        g, h = self.g_indices, self.h_indices
-        if g and set(g).isdisjoint(h):
-            self._g_partition, self._h_partition = ModuliPartition._pair(self.mset, g, h)
-        else:
-            self._g_partition = ModuliPartition(self.mset, g) if g else None
-            self._h_partition = ModuliPartition(self.mset, h)
+        self._g_partition, self._h_partition = _stage_partitions(
+            self.mset, self.g_indices, self.h_indices
+        )
 
 
 @dataclass(frozen=True, slots=True)

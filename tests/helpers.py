@@ -35,7 +35,7 @@ def random_context(rng: random.Random, cases=(1, 2, 3, 4), max_bits=128):
     """A valid random reduction context; deterministic for a seeded rng."""
     while True:
         case = RangeCase(rng.choice(cases))
-        n = random_modulus(rng, max_bits, min_value=3 if case.halves_g else 2)
+        n = random_modulus(rng, max_bits, min_value=3 if case.divisor_factor == 2 else 2)
         lo = min(30, max(8, n.bit_length() // 4))
         word_bits = rng.randint(lo, 30)
         try:
@@ -44,24 +44,21 @@ def random_context(rng: random.Random, cases=(1, 2, 3, 4), max_bits=128):
             continue
 
 
-def peel_division(ms, current, peel) -> list[int]:
+def peel_division(ms, current, peel) -> None:
     """Divide out the listed moduli in place, through ``rns._peel``.
 
     ``current`` is a mutable length-n list of residues; None marks channels
     that are already gone. Peeled entries become None and surviving entries
     the residues of the quotient by the peeled moduli, which those channels
-    alone determine. Returns the remainder digit pulled off at each peel,
-    in peel order: the mixed-radix digits over the peeled moduli.
+    alone determine.
     """
     peel = tuple(peel)
     rest = [i for i, v in enumerate(current) if v is not None and i not in peel]
-    rows = PeelRows(ms, peel, rest)
-    digits, values = _peel(rows, ms.moduli, current)
+    values = _peel(PeelRows(ms, peel, rest), ms.moduli, current)
     for k in peel:
         current[k] = None
     for i, v in zip(rest, values):
         current[i] = v
-    return digits
 
 
 def seeded_extend(partial, fill: dict) -> ResidueVector:
@@ -77,11 +74,21 @@ def seeded_extend(partial, fill: dict) -> ResidueVector:
     moduli = ms.moduli
     values = partial.values
     rest = [i for i in range(len(moduli)) if i not in values]
-    rows = PeelRows(ms, partial.known, rest)
-    quotient = _peel(rows, moduli, {**values, **fill})[1]
+    rows = PeelRows(ms, sorted(values), rest)
+    quotient = _peel(rows, moduli, {**values, **fill})
     place = prod(moduli[k] for k in rows.peel)
     extended = {i: (fill[i] - q * place) % moduli[i] for i, q in zip(rest, quotient)}
     return ResidueVector(tuple({**values, **extended}[i] for i in range(len(moduli))), ms)
+
+
+def divisor_product(part) -> int:
+    """The product of a partition's divisor moduli."""
+    return prod(part.mset.moduli[i] for i in part.divisor_indices)
+
+
+def remaining_indices(part) -> tuple:
+    """The channels a partition does not divide out, ascending."""
+    return tuple(i for i in range(len(part.mset.moduli)) if i not in part.divisor_indices)
 
 
 def reference_peel(ms, current, peel):

@@ -37,7 +37,13 @@ from rnsbarrett import (
     trace_bmm,
 )
 
-from helpers import COPRIME_POOL, random_context, seeded_extend
+from helpers import (
+    COPRIME_POOL,
+    divisor_product,
+    random_context,
+    remaining_indices,
+    seeded_extend,
+)
 
 
 @contextmanager
@@ -110,7 +116,7 @@ def test_criterion_2_rns_worked_example():
 def _random_scalar_instance(rng, case):
     bits = rng.randint(2, 128)
     n = rng.randrange(max(2, 1 << (bits - 1)), 1 << bits)
-    if case.halves_g:
+    if case.divisor_factor == 2:
         n = max(n, 3)
         g = rng.randrange(1, (n - 1) // 2 + 1)
     else:
@@ -155,18 +161,19 @@ def test_criterion_5_quotient_exhaustive():
         ms = make_moduli_set([11, 13, 17, 23])
         assert ms.product <= 100_000
         partitions = [
-            ModuliPartition(ms, sub)
+            (part, divisor_product(part), remaining_indices(part))
             for size in (1, 2, 3)
             for sub in itertools.combinations(range(4), size)
+            for part in [ModuliPartition(ms, sub)]
         ]
         assert len(partitions) == 14
         moduli = ms.moduli
         for x in range(ms.product):
             rv = encode(x, ms)
-            for part in partitions:
-                q = x // part.divisor_product
+            for part, divisor, remaining in partitions:
+                q = x // divisor
                 got = quotient_by_moduli_product(rv, part)
-                for i in part.remaining_indices:
+                for i in remaining:
                     assert got.values[i] == q % moduli[i]
         assert time.perf_counter() - start <= 60
 

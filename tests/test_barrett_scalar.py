@@ -20,8 +20,8 @@ from rnsbarrett.barrett import capacity_condition, divisor_condition, product_co
 
 def random_case_instance(rng, case):
     """(params, a, b) satisfying the case's divisor and range conditions."""
-    n = rng.randrange(3 if case.halves_g else 2, 1 << 128)
-    if case.halves_g:
+    n = rng.randrange(3 if case.divisor_factor == 2 else 2, 1 << 128)
+    if case.divisor_factor == 2:
         g = rng.randrange(1, (n - 1) // 2 + 1)
     else:
         g = rng.randrange(1, n)

@@ -14,10 +14,9 @@ from rnsbarrett import (
     base_extend,
     encode,
     make_moduli_set,
-    to_mixed_radix,
 )
 
-from helpers import COPRIME_POOL, peel_division, seeded_extend
+from helpers import COPRIME_POOL, seeded_extend
 
 EX_SET = make_moduli_set([4, 5, 7, 11])
 
@@ -88,20 +87,6 @@ def test_seed_values_do_not_matter():
         random_seeded = seeded_extend(partial, fill)
         assert zero_seeded == random_seeded
         assert zero_seeded == encode(x, ms)
-
-
-def test_peeled_digits_are_mixed_radix_digits():
-    rng = random.Random(4)
-    for _ in range(200):
-        ms = make_moduli_set(rng.sample(COPRIME_POOL, rng.randint(2, 6)))
-        n = len(ms.moduli)
-        known = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
-        bound = prod(ms.moduli[i] for i in known)
-        x = rng.randrange(bound)
-        current = [x % m if i in set(known) else 0 for i, m in enumerate(ms.moduli)]
-        digits = peel_division(ms, current, known)
-        known_only = make_moduli_set([ms.moduli[i] for i in known])
-        assert tuple(digits) == to_mixed_radix(encode(x, known_only))
 
 
 @given(

@@ -1,10 +1,9 @@
 """The fused divide-and-extend stage against a one-modulus-at-a-time peel.
 
 Each stage runs as one pass of the packed accumulator over plain lists:
-the quotient hands its residues to base extension as a list in the
-divide rows' rest order, a zero-seeded extension reads the lane sums
-directly, and the full vector is assembled through a permutation
-precomputed for that order. The reference (``helpers.reference_quotient``
+the quotient hands its residues to base extension keyed by channel, a
+zero-seeded extension reads the lane sums directly, and each residue is
+written at its channel index. The reference (``helpers.reference_quotient``
 and ``reference_extend``) divides by one modulus at a time and evaluates
 mixed-radix digits by Horner's rule, sharing no code with the kernel.
 """
@@ -31,10 +30,12 @@ from rnsbarrett import (
 )
 
 from helpers import (
+    divisor_product,
     reference_extend,
     reference_pass,
     reference_peel,
     reference_quotient,
+    remaining_indices,
     seeded_extend,
 )
 
@@ -55,12 +56,12 @@ def check_partition(part: ModuliPartition, samples):
         q = quotient_by_moduli_product(encode(x, ms), part)
         expected = reference_quotient(ms, values, part.divisor_indices)
         assert q.values == expected
-        assert list(q.values) == list(part.remaining_indices)
+        assert tuple(q.values) == remaining_indices(part)
         full = reference_extend(ms, expected)
         assert base_extend(q).values == full
         fill = {i: rng.randrange(ms.moduli[i]) for i in part.divisor_indices}
         assert seeded_extend(q, fill).values == full
-        assert full == encode(x // part.divisor_product, ms).values
+        assert full == encode(x // divisor_product(part), ms).values
 
 
 def test_stages_above_255_channels():

@@ -60,6 +60,13 @@ def test_negative_exponent_rejected():
         bmm_modexp(encode(2, ctx.mset), -1, ctx)
 
 
+@pytest.mark.parametrize("exponent", [2.0, 1.5])
+def test_non_integer_exponent_rejected(exponent):
+    ctx = case2_context()
+    with pytest.raises(TypeError):
+        bmm_modexp(encode(2, ctx.mset), exponent, ctx)
+
+
 def test_oversized_base_rejected():
     ctx = case2_context()
     base = 3 * 21  # not below input_bound * n

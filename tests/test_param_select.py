@@ -15,7 +15,7 @@ def assert_sound(ctx, n, case):
     assert p.modulus == n
     assert p.case is case
     g, h, m = p.g, p.h, ctx.mset.product
-    if case.halves_g:
+    if case.divisor_factor == 2:
         assert 2 * g < n
     else:
         assert g < n

@@ -1,12 +1,16 @@
 """Parameter file grammar: parsing, dumping, and index translation."""
 
+import random
+
 import pytest
 
 from rnsbarrett import (
     ConditionViolation,
+    RangeCase,
     dump_params,
     make_context,
     make_moduli_set,
+    select_context,
 )
 from rnsbarrett.paramfile import loads
 
@@ -74,3 +78,26 @@ def test_unsound_configuration_raises_condition_violation():
     text = "moduli: 4, 5, 7\nN: 21\ng_indices: 1, 2\nh_indices: 1, 3\ncase: 1\n"
     with pytest.raises(ConditionViolation):
         loads(text)
+
+
+def test_modulus_too_long_for_str_round_trips_in_hex():
+    # 15,000 bits is past str()'s default limit of 4300 decimal digits.
+    n = random.Random(15000).getrandbits(15000) | 1 << 14999 | 1
+    ctx = select_context(n, RangeCase.CASE2)
+    text = dump_params(ctx)
+    assert f"N: {hex(n)}\n" in text
+    assert loads(text) == ctx
+
+
+def test_hex_integers_are_read():
+    assert loads(EXAMPLE_TEXT.replace("N: 21", "N: 0x15")) == loads(EXAMPLE_TEXT)
+
+
+@pytest.mark.parametrize(
+    "token", ["1" * 5000, "1" * 4999 + "x"], ids=["valid-decimal", "malformed"]
+)
+def test_long_bad_integer_message_is_short(token):
+    with pytest.raises(ValueError) as info:
+        loads(EXAMPLE_TEXT.replace("N: 21", f"N: {token}"))
+    assert len(str(info.value)) < 120
+    assert str(info.value).startswith("N: ")

@@ -17,7 +17,7 @@ from rnsbarrett import (
     quotient_by_moduli_product,
 )
 
-from helpers import COPRIME_POOL, peel_division
+from helpers import COPRIME_POOL, divisor_product, peel_division, remaining_indices
 
 EX_SET = make_moduli_set([4, 5, 7, 11])
 
@@ -25,13 +25,13 @@ EX_SET = make_moduli_set([4, 5, 7, 11])
 class TestPartition:
     def test_products(self):
         part = ModuliPartition(EX_SET, (0, 1))
-        assert part.divisor_product == 20
-        assert part.remaining_indices == (2, 3)
+        assert part.divide_rows.peel == part.extend_rows.rest == (0, 1)
+        assert part.divide_rows.rest == part.extend_rows.peel == (2, 3)
 
     def test_non_prefix_subset(self):
         part = ModuliPartition(EX_SET, (2, 0))
         assert part.divisor_indices == (0, 2)
-        assert part.divisor_product == 28
+        assert part.divide_rows.peel == (0, 2)
 
     def test_rejects_bad_subsets(self):
         with pytest.raises(ValueError):
@@ -73,9 +73,9 @@ class TestQuotient:
         for x in range(ms.product):
             rv = encode(x, ms)
             for part in partitions:
-                expected = x // part.divisor_product
+                expected = x // divisor_product(part)
                 got = quotient_by_moduli_product(rv, part)
-                for i in part.remaining_indices:
+                for i in remaining_indices(part):
                     assert got.values[i] == expected % ms.moduli[i]
 
     def test_intermediate_quotients_track_iterated_division(self):
@@ -126,7 +126,7 @@ class TestQuotient:
         x = data.draw(st.integers(min_value=0, max_value=ms.product - 1))
         part = ModuliPartition(ms, subset)
         got = quotient_by_moduli_product(encode(x, ms), part)
-        expected = x // part.divisor_product
-        assert got.known == part.remaining_indices
-        for i in part.remaining_indices:
+        expected = x // divisor_product(part)
+        assert tuple(sorted(got.values)) == remaining_indices(part)
+        for i in remaining_indices(part):
             assert got.values[i] == expected % ms.moduli[i]
