@@ -23,14 +23,14 @@ with no seed, no quotient and no multiply by P. The seeded arithmetic
 lives in the tests (``helpers.seeded_extend``), which show that the seed
 does not matter.
 
-The peel runs in Garner form (``rns.PeelRows``): one multiply-add per known
-channel on a packed accumulator that holds the pending sums of every later
-known channel and every unknown channel, and drops one w-bit lane per
-digit. With n-k known channels out of n that is n-k multiply-adds, on
-integers shrinking from n-1 lanes to k. Each known and each extended
-residue is then written at its own channel index. Together with the
-quotient that produced the known residues, a divide-and-extend stage costs
-n packed multiply-adds and one small multiply-add or reduction per channel.
+The peel runs in Garner form (``rns.PeelRows``) over groups of channels
+(``quotient.ChannelGroups``; one channel each at the default word size):
+one multiply-add per known group on a packed accumulator that holds the
+pending sums of every later known group and every unknown group, and
+drops one w-bit lane per digit. With n-k known groups out of n that is n-k
+multiply-adds, on integers shrinking from n-1 lanes to k. Each residue is
+then written at its channel index. Together with its quotient, a stage
+costs n packed multiply-adds and one small step per group and per channel.
 """
 
 from .errors import EmptyKnownSet
@@ -52,13 +52,17 @@ def base_extend(x: PartialResidueVector) -> ResidueVector:
     values = x.values
     if not values:
         raise EmptyKnownSet("nothing to extend from")
-    rows = x._extend_rows
+    rows, groups, known = x._extend or (None, None, values)
     if rows is None:
-        rows = PeelRows(ms, tuple(values), [i for i in range(n) if i not in values])
-    extended = _peel(rows, moduli, values, divide=False)
+        rows = PeelRows(moduli, tuple(values), [i for i in range(n) if i not in values])
     full = [0] * n
     for i, v in values.items():
         full[i] = v
-    for i, v in zip(rows.rest, extended):
+    if groups is None:
+        extended = zip(rows.rest, _peel(rows, moduli, values, divide=False))
+    else:
+        peeled = _peel(rows, groups.moduli, known, divide=False)
+        extended = groups.split(zip(rows.rest, peeled)).items()
+    for i, v in extended:
         full[i] = v
     return ResidueVector._reduced(tuple(full), ms)

@@ -16,10 +16,7 @@ them just below a power of two, 2**254 by default. Moduli, the product M
 and any decoded integer are ordinary Python integers of arbitrary size.
 """
 
-import sys
-from array import array
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations, repeat
 from math import gcd, lcm, prod
 from operator import index, mod, mul, sub
@@ -158,11 +155,8 @@ class PartialResidueVector:
 
     values: dict[int, int]
     mset: ModuliSet
-    # A quotient hands base extension its partition's rows, which peel the
-    # known channels and extend to the unknown ones.
-    _extend_rows: "PeelRows | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # What a quotient hands base extension; see ``_reduced``.
+    _extend: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = {index(i): index(v) for i, v in dict(self.values).items()}
@@ -177,17 +171,19 @@ class PartialResidueVector:
 
     @classmethod
     def _reduced(
-        cls, values: dict[int, int], mset: ModuliSet, extend_rows=None
+        cls, values: dict[int, int], mset: ModuliSet, extend=None
     ) -> "PartialResidueVector":
         """A nonempty vector reduced by construction; skips validation.
 
-        ``extend_rows``, if given, must peel the channels that ``values``
-        holds and extend to the others.
+        ``extend``, if given, is ``(rows, groups, known)``: rows that peel
+        the channels ``values`` holds and extend to the others, the
+        ``quotient.ChannelGroups`` they index (None: they index channels),
+        and the residues keyed by the groups they peel.
         """
         prv = object.__new__(cls)
         prv.values = values
         prv.mset = mset
-        prv._extend_rows = extend_rows
+        prv._extend = extend
         return prv
 
 
@@ -298,44 +294,16 @@ def to_mixed_radix(rv: ResidueVector) -> tuple[int, ...]:
     return tuple(_garner(rv)[0])
 
 
-def _store(moduli):
-    """Storage for inverses mod the ascending ``moduli``.
-
-    A signed 64-bit array, or a tuple of Python integers when some modulus
-    is at least 2**63.
-    """
-    return partial(array, "q") if moduli[-1] < 1 << 63 else tuple
-
-
-def _pack(lanes, size: int):
-    """``lanes`` as consecutive ``size``-byte little-endian integers.
-
-    An ``array("Q")`` of lanes is spread in ``min(8, size)`` strided slice
-    assignments, one per byte of a lane (on a big-endian host the array is
-    byte-swapped in place first); a list of wider lanes is packed one lane
-    at a time.
-    """
-    if not isinstance(lanes, array):
-        return b"".join(map(int.to_bytes, lanes, repeat(size), repeat("little")))
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    # Strided slices of bytes are much faster than of a memoryview.
-    raw = lanes.tobytes()
-    packed = bytearray(len(lanes) * size)
-    for byte in range(min(8, size)):
-        packed[byte::size] = raw[byte::8]
-    return packed
-
-
 class PeelRows:
     """Packed columns for peeling an ordered set of channels.
 
-    Peeling the moduli p_0, p_1, ... (the moduli at ``peel``, in that order)
-    pulls off the mixed-radix digits d_0, d_1, ... of the encoded integer x,
-    with place values P_0 = 1, P_1 = p_0, P_2 = p_0 * p_1, and so on. Digit
-    j and the residue of the final quotient on each ``rest`` channel are
-    both residues of x minus its already known digits, divided by a prefix
-    product:
+    ``moduli`` is what the channel indices index: a set's moduli, or the
+    products of ``quotient.ChannelGroups``. Peeling the moduli p_0, p_1,
+    ... (the moduli at ``peel``, in that order) pulls off the mixed-radix
+    digits d_0, d_1, ... of the encoded integer x, with place values
+    P_0 = 1, P_1 = p_0, P_2 = p_0 * p_1, and so on. Digit j and the residue
+    of the final quotient on each ``rest`` channel are both residues of x
+    minus its already known digits, divided by a prefix product:
 
         d_j = (x_j - sum_{l<j} d_l * P_l) * P_j^-1       mod p_j
         q_i = (x_i - sum_{l<K} d_l * P_l) * P_K^-1       mod m_i
@@ -345,71 +313,63 @@ class PeelRows:
     peel order, then P_l mod m_i for each rest channel. Each term of a lane
     sum is below (max modulus - 1)**2, so with ``width`` the bit length of
     K times that bound, rounded up to whole bytes, no lane sum carries into
-    the next. ``inverses`` holds P_j^-1 mod p_j, then P_K^-1 mod m_i.
-
-    The table is packed in one flat pass: every column's lanes go, in
-    column order, into one unsigned 64-bit array, which ``_pack`` spreads
-    into ``width``-bit lanes of one byte buffer; each column is then read
-    out of its slice of that buffer. Lanes are below the largest modulus,
-    so a set with a modulus above 2**64 packs a list of lanes one at a
-    time instead.
+    the next. ``inverses`` is a tuple of P_j^-1 mod p_j, then P_K^-1 mod
+    m_i. A peel costs one packed multiply-add per peeled channel, whatever
+    its width, so a pass pays per digit: tables over groups of narrow
+    channels take a fraction of the steps of tables over the channels.
 
     Column l's lanes do not depend on which of the later channels are
     peeled, so the first k columns of these rows are also the columns of
     rows that peel only ``peel[:k]`` and keep the others, in the same
     order, ahead of ``rest``; ``head`` builds those rows over the same
-    integers.
-
-    Inverses are a signed 64-bit array unless some modulus of the set is at
-    least 2**63; then they are a tuple of Python integers. Columns are
-    Python integers at any modulus width. Instances are immutable in use
-    and safe to share between threads.
+    integers. Instances are immutable in use and safe to share between
+    threads.
     """
 
     __slots__ = ("peel", "rest", "columns", "width", "inverses")
 
-    def __init__(self, ms: ModuliSet, peel, rest):
-        moduli = ms.moduli
+    def __init__(self, moduli, peel, rest):
         self.peel = tuple(peel)
         self.rest = tuple(rest)
         peeled = [moduli[k] for k in self.peel]
-        # The moduli are ascending, so the last one bounds every entry.
-        size = ((len(peeled) * (moduli[-1] - 1) ** 2).bit_length() + 7) // 8
+        # The largest modulus bounds every entry; group products are not
+        # ascending.
+        size = ((len(peeled) * (max(moduli) - 1) ** 2).bit_length() + 7) // 8
         self.width = 8 * size
         # ``lanes`` holds P_l mod each channel not yet peeled, the one about
-        # to be peeled first; one map per peeled modulus steps l.
+        # to be peeled first; one map per peeled modulus steps l. Every
+        # column's lanes go into one flat list, packed in one pass.
         targets = peeled + [moduli[i] for i in self.rest]
         lanes = [1] * len(targets)
-        # Every lane is below the largest modulus, so it fits an unsigned
-        # 64-bit array unless some modulus exceeds 2**64.
-        flat = array("Q") if moduli[-1] <= 1 << 64 else []
-        inverses, ends = [], []
+        flat, inverses, ends = [], [], []
         for q in peeled:
             inverses.append(pow(lanes[0], -1, q))
             del lanes[0], targets[0]
-            flat.extend(lanes)
+            flat += lanes
             ends.append(len(flat) * size)
             lanes = list(map(mod, map(mul, lanes, repeat(q)), targets))
-        packed = memoryview(_pack(flat, size))
+        packed = memoryview(
+            b"".join(map(int.to_bytes, flat, repeat(size), repeat("little")))
+        )
         self.columns = tuple(
             int.from_bytes(packed[start:end], "little")
             for start, end in zip([0, *ends], ends)
         )
         inverses.extend(map(pow, lanes, repeat(-1), targets))
-        self.inverses = _store(moduli)(inverses)
+        self.inverses = tuple(inverses)
 
-    def head(self, ms: ModuliSet, k: int) -> "PeelRows":
+    def head(self, moduli, k: int) -> "PeelRows":
         """Rows that peel ``peel[:k]``, keeping ``peel[k:] + rest``.
 
-        The columns are this table's first k, the same integer objects, and
-        the width is this table's, which may be a byte wider than rows built
-        for k channels need. The first k inverses are this table's too; only
-        the rest inverses P_k^-1 mod m_i are computed here.
+        ``moduli`` is the sequence these rows were built over. The columns
+        are this table's first k, the same integer objects, and the width
+        is this table's, which may be a byte wider than rows built for k
+        channels need. The first k inverses are this table's too; only the
+        rest inverses P_k^-1 mod m_i are computed here.
         On the channels of ``peel[k:]`` each is a modular inverse. On this
         table's rest channels it is the stored P_K^-1 times the tail
         product of ``peel[k:]``, since P_K is P_k times that tail.
         """
-        moduli = ms.moduli
         rows = object.__new__(PeelRows)
         rows.peel = self.peel[:k]
         rows.rest = self.peel[k:] + self.rest
@@ -419,15 +379,13 @@ class PeelRows:
         place = prod(moduli[i] for i in rows.peel)
         tail = prod(kept)
         rest = [moduli[i] for i in self.rest]
-        rows.inverses = _store(moduli)(
-            [
-                *self.inverses[:k],
-                *map(pow, repeat(place), repeat(-1), kept),
-                *(
-                    inverse * (tail % t) % t
-                    for inverse, t in zip(self.inverses[len(self.peel):], rest)
-                ),
-            ]
+        rows.inverses = (
+            *self.inverses[:k],
+            *map(pow, repeat(place), repeat(-1), kept),
+            *(
+                inverse * (tail % t) % t
+                for inverse, t in zip(self.inverses[len(self.peel):], rest)
+            ),
         )
         return rows
 
@@ -435,9 +393,9 @@ class PeelRows:
 def _peel(rows: PeelRows, moduli, values, divide=True) -> list[int]:
     """Peel ``rows.peel`` in one pass of the packed accumulator.
 
-    ``values[k]`` is the residue on channel k, for every peeled channel and,
-    when ``divide`` is true, every rest channel (a tuple, list or dict keyed
-    by channel index). Each digit is read off the accumulator's lowest
+    ``values[k]`` is the residue on channel k, or any integer congruent to
+    it, for every peeled channel and, when ``divide`` is true, every rest
+    channel (a tuple, list or dict keyed by channel index). Each digit is read off the accumulator's lowest
     lane, which holds the sum that digit subtracts; the accumulator then
     drops that lane and adds digit times column. The digits are not kept:
     after the K-th one the accumulator holds the sum S_i = sum_l d_l * P_l

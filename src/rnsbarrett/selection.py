@@ -20,17 +20,16 @@ from math import gcd
 
 from .barrett import RangeCase
 from .errors import ConditionViolation, SelectionFailed
+from .quotient import DEFAULT_WORD_BITS
 from .rns import make_moduli_set
 from .rns_barrett import RnsBarrettContext, make_context
 
 # Largest moduli set a search may build before giving up.
 MAX_MODULI = 512
 
-# Word sizes: the default, and the largest a search accepts. Wider channels
-# mean fewer peel digits per pass and smaller tables; a pass is fastest
-# around 190 to 254 bits, and the range conditions do not depend on the
+# The largest word size a search accepts. A pass is fastest around the
+# default, DEFAULT_WORD_BITS, and the range conditions do not depend on the
 # channel width.
-DEFAULT_WORD_BITS = 254
 MAX_WORD_BITS = 1024
 
 

@@ -3,7 +3,19 @@
 import random
 from math import gcd, prod
 
-from rnsbarrett import RangeCase, ResidueVector, SelectionFailed, select_context
+from rnsbarrett import (
+    RangeCase,
+    ResidueVector,
+    SelectionFailed,
+    bmm,
+    decode_crt,
+    encode,
+    make_context,
+    make_moduli_set,
+    modmul,
+    select_context,
+    trace_bmm,
+)
 from rnsbarrett.rns import PeelRows, _peel
 
 # Distinct prime powers: any subset is pairwise coprime.
@@ -44,6 +56,19 @@ def random_context(rng: random.Random, cases=(1, 2, 3, 4), max_bits=128):
             continue
 
 
+def build(modulus, case, g_moduli, h_moduli, x_moduli):
+    """``make_context`` over g + h + x, with g and h given by their moduli."""
+    ms = make_moduli_set(g_moduli + h_moduli + x_moduli)
+    where = {m: i for i, m in enumerate(ms.moduli)}
+    return make_context(
+        ms,
+        modulus,
+        sorted(where[m] for m in g_moduli),
+        sorted(where[m] for m in h_moduli),
+        case,
+    )
+
+
 def peel_division(ms, current, peel) -> None:
     """Divide out the listed moduli in place, through ``rns._peel``.
 
@@ -54,7 +79,7 @@ def peel_division(ms, current, peel) -> None:
     """
     peel = tuple(peel)
     rest = [i for i, v in enumerate(current) if v is not None and i not in peel]
-    values = _peel(PeelRows(ms, peel, rest), ms.moduli, current)
+    values = _peel(PeelRows(ms.moduli, peel, rest), ms.moduli, current)
     for k in peel:
         current[k] = None
     for i, v in zip(rest, values):
@@ -74,7 +99,7 @@ def seeded_extend(partial, fill: dict) -> ResidueVector:
     moduli = ms.moduli
     values = partial.values
     rest = [i for i in range(len(moduli)) if i not in values]
-    rows = PeelRows(ms, sorted(values), rest)
+    rows = PeelRows(moduli, sorted(values), rest)
     quotient = _peel(rows, moduli, {**values, **fill})
     place = prod(moduli[k] for k in rows.peel)
     extended = {i: (fill[i] - q * place) % moduli[i] for i, q in zip(rest, quotient)}
@@ -89,6 +114,18 @@ def divisor_product(part) -> int:
 def remaining_indices(part) -> tuple:
     """The channels a partition does not divide out, ascending."""
     return tuple(i for i in range(len(part.mset.moduli)) if i not in part.divisor_indices)
+
+
+def table_moduli(part) -> tuple:
+    """The moduli a partition's peel tables index: its groups', or the set's."""
+    return part.mset.moduli if part.groups is None else part.groups.moduli
+
+
+def channels(part, ids) -> tuple:
+    """The channels, in order, of the table indices ``ids`` of a partition."""
+    if part.groups is None:
+        return tuple(ids)
+    return tuple(i for j in ids for i in part.groups.members[j])
 
 
 def reference_peel(ms, current, peel):
@@ -154,3 +191,30 @@ def reference_pass(a: ResidueVector, b: ResidueVector, ctx):
     q_full = reference_extend(ms, q_partial)
     c = channelwise(int.__sub__, x, channelwise(int.__mul__, q_full, ctx.n_rv.values))
     return x, d_partial, d_full, e, q_partial, q_full, c
+
+
+def check_pass(ctx, pairs):
+    """bmm against scalar modmul, every trace row against the reference."""
+    ms = ctx.mset
+    for a, b in pairs:
+        ea, eb = encode(a, ms), encode(b, ms)
+        assert decode_crt(bmm(ea, eb, ctx)) == modmul(a, b, ctx.params)
+        tr = trace_bmm(ea, eb, ctx)
+        x, d_partial, d_full, e, q_partial, q_full, c = reference_pass(ea, eb, ctx)
+        assert tr.x.values == x
+        assert tr.d_partial.values == d_partial
+        assert tr.d_full.values == d_full
+        assert tr.e.values == e
+        assert tr.q_partial.values == q_partial
+        assert tr.q_full.values == q_full
+        assert tr.c.values == c
+
+
+def operand_pairs(ctx, seed: int, count: int = 25):
+    """The largest operands, zero, and ``count`` random pairs below the input bound."""
+    rng = random.Random(seed)
+    limit = ctx.params.case.input_bound * ctx.params.modulus
+    top = limit - 1
+    return [(top, top), (top, 0), (0, 0)] + [
+        (rng.randrange(limit), rng.randrange(limit)) for _ in range(count)
+    ]

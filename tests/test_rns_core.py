@@ -33,7 +33,7 @@ from rnsbarrett import (
 )
 from rnsbarrett.rns import PeelRows, _garner
 
-from helpers import COPRIME_POOL, coprime_below
+from helpers import COPRIME_POOL, channels, coprime_below, table_moduli
 
 EX_SET = make_moduli_set([4, 5, 7, 11])
 WORD30_SET = make_moduli_set(
@@ -131,23 +131,31 @@ class TestModuliSet:
         # of the first l peeled moduli, reduced mod the j-th channel after
         # peeled channel l (the later peeled channels in peel order, then the
         # rest channels); each stored inverse times its prefix product is 1
-        # mod the channel; ``order`` maps the peel-then-rest layout back to
-        # ascending channels. The sets span the packing boundaries: lanes of
-        # at most 8 bytes (ex, word30), lanes wider than 8 bytes (word62),
-        # 64-bit lanes whose inverses need a tuple (word64), and moduli above
-        # 2**64, whose lanes are packed one at a time (wide).
+        # mod the channel. A channel here is a group of channels whose bit
+        # lengths add up to at most 254, peeled as one modulus, their
+        # product: the ex, word30, word62 and word64 sets group several
+        # channels per side, the wide set one or two.
         partitions = [ModuliPartition(EX_SET, sub) for sub in ((0,), (1, 3), (0, 1, 2))]
         for ms in (WORD30_SET, WORD62_SET, WORD64_SET):
             partitions += [ModuliPartition(ms, sub) for sub in ((2,), (0, 3), (1, 2, 4))]
         partitions += [ModuliPartition(WIDE_SET, sub) for sub in ((0,), (1, 3), (0, 1, 2))]
         for part in partitions:
-            moduli = part.mset.moduli
-            for rows in (part.divide_rows, part.extend_rows):
+            moduli = table_moduli(part)
+            assert part.groups is not None
+            rest_channels = tuple(
+                i for i in range(len(part.mset.moduli)) if i not in part.divisor_indices
+            )
+            for rows, peel, rest in (
+                (part.divide_rows, part.divisor_indices, rest_channels),
+                (part.extend_rows, rest_channels, part.divisor_indices),
+            ):
+                assert channels(part, rows.peel) == peel
+                assert channels(part, rows.rest) == rest
                 peeled = [moduli[k] for k in rows.peel]
                 rest = [moduli[i] for i in rows.rest]
                 count = len(peeled)
                 width = rows.width
-                bound = (count * (moduli[-1] - 1) ** 2).bit_length()
+                bound = (count * (max(moduli) - 1) ** 2).bit_length()
                 assert width == (bound + 7) // 8 * 8
                 assert len(rows.columns) == count
                 for l, column in enumerate(rows.columns):
@@ -160,26 +168,31 @@ class TestModuliSet:
                     assert rows.inverses[j] * prod(peeled[:j]) % m == 1
                 for i, m in enumerate(rest):
                     assert rows.inverses[count + i] * prod(peeled) % m == 1
-                if moduli[-1] < 1 << 63:
-                    assert rows.inverses.typecode == "q"
-                else:
-                    assert type(rows.inverses) is tuple
+                assert type(rows.inverses) is tuple
                 assert len(rows.inverses) == count + len(rest)
                 assert not hasattr(rows, "products")
 
     @pytest.mark.parametrize(
-        "ms", [EX_SET, WORD30_SET, WORD62_SET, WIDE_SET], ids=["ex", "word30", "word62", "wide"]
+        "moduli",
+        [
+            EX_SET.moduli,
+            WORD30_SET.moduli,
+            WORD62_SET.moduli,
+            WIDE_SET.moduli,
+            # Group products, which are not ascending.
+            ModuliPartition(WORD30_SET, (1, 3)).groups.moduli + WIDE_SET.moduli[1:3],
+        ],
+        ids=["ex", "word30", "word62", "wide", "groups"],
     )
-    def test_head_every_prefix(self, ms):
-        # ``head(ms, k)`` for every k: the first k inverses are P_j^-1 mod
-        # p_j, every later one P_k^-1 mod its channel, computed directly
-        # here; the wide set's inverses are a tuple.
-        moduli = ms.moduli
+    def test_head_every_prefix(self, moduli):
+        # ``head(moduli, k)`` for every k: the first k inverses are P_j^-1
+        # mod p_j, every later one P_k^-1 mod its channel, computed directly
+        # here; inverses are a tuple at every width.
         n = len(moduli)
         for peel, rest in ((tuple(range(n)), ()), ((3, 0, 2), (1,)), ((n - 1, 1), (0, 2))):
-            table = PeelRows(ms, peel, rest)
+            table = PeelRows(moduli, peel, rest)
             for k in range(len(peel) + 1):
-                rows = table.head(ms, k)
+                rows = table.head(moduli, k)
                 assert rows.peel == peel[:k]
                 assert rows.rest == peel[k:] + rest
                 place = prod(moduli[i] for i in rows.peel)
@@ -188,7 +201,7 @@ class TestModuliSet:
                     for j in range(k)
                 ] + [pow(place, -1, moduli[i]) for i in rows.rest]
                 assert list(rows.inverses) == want
-                assert (type(rows.inverses) is tuple) == (ms is WIDE_SET)
+                assert type(rows.inverses) is tuple
 
     def test_retains_no_full_width_state_per_channel(self):
         # 139 moduli of 30 bits, as at a 2048-bit modulus: the product is the

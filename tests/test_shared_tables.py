@@ -2,11 +2,13 @@
 
 With x the channels in neither g nor h, a context with disjoint, nonempty
 g and h builds two tables: one peels g + x and extends to h, one peels
-h + x and extends to g. Each is one stage's extension, and its first |g|
-(or |h|) columns, the same integer objects, are the other stage's divide
-rows. The structural tests check that sharing against rows built on their
-own; the edge shapes run whole passes against scalar ``modmul`` and the
-one-modulus-at-a-time reference in ``helpers``.
+h + x and extends to g. Each is one stage's extension, and its first
+columns, one per group of g (or h) and the same integer objects, are the
+other stage's divide rows. The tables peel groups of channels
+(``quotient.ChannelGroups``); every context here groups several narrow
+channels. The structural tests check that sharing against rows built on
+their own over the same groups; the edge shapes run whole passes against
+scalar ``modmul`` and the one-modulus-at-a-time reference in ``helpers``.
 """
 
 import random
@@ -20,22 +22,27 @@ from rnsbarrett import (
     RangeCase,
     RnsBarrettContext,
     base_extend,
-    bmm,
-    decode_crt,
     encode,
     load_params,
     make_context,
     make_moduli_set,
     make_params,
-    modmul,
     quotient_by_moduli_product,
     select_context,
-    trace_bmm,
 )
 from rnsbarrett.barrett import capacity_condition
 from rnsbarrett.rns import PeelRows
 
-from helpers import coprime_below, divisor_product, reference_pass, remaining_indices
+from helpers import (
+    build,
+    channels,
+    check_pass,
+    coprime_below,
+    divisor_product,
+    operand_pairs,
+    remaining_indices,
+    table_moduli,
+)
 
 # Mersenne primes, every one but the first wider than 64 bits.
 WIDE_SET = make_moduli_set([(1 << 61) - 1, (1 << 89) - 1, (1 << 107) - 1, (1 << 127) - 1])
@@ -46,26 +53,14 @@ def odd_modulus(seed: int, bits: int) -> int:
     return random.Random(seed).getrandbits(bits) | (1 << (bits - 1)) | 1
 
 
-def build(modulus, case, g_moduli, h_moduli, x_moduli):
-    """``make_context`` over g + h + x, with g and h given by their moduli."""
-    ms = make_moduli_set(g_moduli + h_moduli + x_moduli)
-    where = {m: i for i, m in enumerate(ms.moduli)}
-    return make_context(
-        ms,
-        modulus,
-        sorted(where[m] for m in g_moduli),
-        sorted(where[m] for m in h_moduli),
-        case,
-    )
-
-
 def lane_crossing_context():
-    # 16 divisor channels of 30 bits fit 64-bit lanes on their own; the
-    # shared table also peels x, and 17 terms need a 65-bit lane sum.
-    moduli = coprime_below((1 << 30) - 1, 40)
-    g_moduli = moduli[:16]
+    # Four 61-bit divisor channels are one group of 244 bits, and one term
+    # below its squared modulus fits 488-bit lanes; the shared table also
+    # peels x, and two terms need a 489-bit lane sum.
+    moduli = coprime_below((1 << 61) - 1, 12)
+    g_moduli = moduli[:4]
     modulus = prod(g_moduli) + 12345
-    h_moduli, rest = [], moduli[16:]
+    h_moduli, rest = [], moduli[4:]
     while prod(g_moduli) * prod(h_moduli) < 9 * modulus**2:
         h_moduli.append(rest.pop(0))
     x_moduli = []
@@ -109,35 +104,42 @@ def test_divide_rows_are_a_prefix_of_the_other_extension(ctx):
     x = outside(ctx)
     for part, other in stages(ctx):
         head, table = part.divide_rows, other.extend_rows
-        k = len(part.divisor_indices)
-        assert head.peel == part.divisor_indices == table.peel[:k]
-        assert table.peel[k:] == x
-        assert table.rest == other.divisor_indices
-        assert head.rest == x + other.divisor_indices
+        assert part.groups is other.groups is not None
+        k = len(head.peel)
+        assert channels(part, head.peel) == part.divisor_indices
+        assert head.peel == table.peel[:k]
+        assert channels(part, table.peel[k:]) == x
+        assert channels(part, table.rest) == other.divisor_indices
+        assert head.rest == table.peel[k:] + table.rest
+        assert channels(part, head.rest) == x + other.divisor_indices
         assert len(head.columns) == k
         assert all(a is b for a, b in zip(head.columns, table.columns))
         assert head.width == table.width
-        assert list(head.inverses[:k]) == list(table.inverses[:k])
-    # Two tables per context: every column object belongs to one of them.
+        assert head.inverses[:k] == table.inverses[:k]
+    # Two tables per context: every column object belongs to one of them,
+    # one per group of g and of h and two per group of x.
+    g_part, h_part = ctx._g_partition, ctx._h_partition
     columns = {
         id(c)
-        for part in (ctx._g_partition, ctx._h_partition)
+        for part in (g_part, h_part)
         for rows in (part.divide_rows, part.extend_rows)
         for c in rows.columns
     }
-    assert len(columns) == len(ctx.g_indices) + len(ctx.h_indices) + 2 * len(x)
+    g_groups, h_groups = len(g_part.divide_rows.peel), len(h_part.divide_rows.peel)
+    x_groups = len(h_part.extend_rows.peel) - g_groups
+    assert len(columns) == g_groups + h_groups + 2 * x_groups
 
 
 @pytest.mark.parametrize("ctx", SHARED.values(), ids=SHARED.keys())
 def test_divide_rows_match_standalone_rows(ctx):
-    ms = ctx.mset
     for part, _ in stages(ctx):
+        moduli = table_moduli(part)
         head = part.divide_rows
-        alone = PeelRows(ms, part.divisor_indices, remaining_indices(part))
+        alone = PeelRows(moduli, head.peel, sorted(head.rest))
         k = len(alone.peel)
         assert sorted(head.rest) == list(alone.rest)
         assert alone.width <= head.width <= alone.width + 8
-        # Lane position of each rest channel in the shared layout.
+        # Lane position of each rest group in the shared layout.
         slot = {i: t for t, i in enumerate(head.rest)}
         for l, (shared, own) in enumerate(zip(head.columns, alone.columns, strict=True)):
             later = k - 1 - l
@@ -145,7 +147,7 @@ def test_divide_rows_match_standalone_rows(ctx):
             own_lanes = lanes(own, alone.width, later + len(alone.rest))
             assert shared_lanes[:later] == own_lanes[:later]
             assert [shared_lanes[later + slot[i]] for i in alone.rest] == own_lanes[later:]
-        assert list(head.inverses[:k]) == list(alone.inverses[:k])
+        assert head.inverses[:k] == alone.inverses[:k]
         assert [head.inverses[k + slot[i]] for i in alone.rest] == list(alone.inverses[k:])
 
 
@@ -155,12 +157,18 @@ def test_quotient_carries_the_extension_table(ctx):
     x = encode(ms.product - 1, ms)
     for part, _ in stages(ctx):
         head, table = part.divide_rows, part.extend_rows
-        # The quotient holds its residues on the divide rows' rest channels.
+        moduli = table_moduli(part)
+        # The quotient holds its residues on the divide rows' rest channels,
+        # and hands on its residues on their groups with the extension rows.
         q = quotient_by_moduli_product(x, part)
-        assert list(q.values) == list(head.rest)
+        assert list(q.values) == list(channels(part, head.rest))
         quotient = (ms.product - 1) // divisor_product(part)
-        assert list(q.values.values()) == [quotient % ms.moduli[i] for i in head.rest]
-        assert q._extend_rows is table
+        assert list(q.values.values()) == [
+            quotient % ms.moduli[i] for i in channels(part, head.rest)
+        ]
+        rows, groups, known = q._extend
+        assert rows is table and groups is part.groups
+        assert known == {j: quotient % moduli[j] for j in head.rest}
 
 
 # Every stage partition of the shared, example4 and unit-g contexts.
@@ -175,16 +183,23 @@ EVERY_STAGE = [
 @pytest.mark.parametrize("part", EVERY_STAGE)
 def test_extension_ignores_the_quotients_key_order(part):
     # base_extend writes each residue at its channel index, so a quotient
-    # whose dict iterates in any order extends to the same vector.
+    # whose dicts iterate in any order extends to the same vector.
     ms = part.mset
     rng = random.Random(len(ms.moduli))
     for value in (ms.product - 1, rng.randrange(ms.product)):
         q = quotient_by_moduli_product(encode(value, ms), part)
         want = encode(value // divisor_product(part), ms)
-        shuffled = list(q.values.items())
-        rng.shuffle(shuffled)
-        for items in (reversed(q.values.items()), shuffled):
-            reordered = PartialResidueVector._reduced(dict(items), ms, q._extend_rows)
+        rows, groups, known = q._extend
+
+        def shuffled(items):
+            items = list(items)
+            rng.shuffle(items)
+            return items
+
+        for order in (reversed, shuffled):
+            values = dict(order(q.values.items()))
+            by_group = values if groups is None else dict(order(known.items()))
+            reordered = PartialResidueVector._reduced(values, ms, (rows, groups, by_group))
             assert base_extend(reordered) == want
 
 
@@ -194,36 +209,7 @@ def test_inverse_storage(ctx):
     assert wide == (ctx is SHARED["wide"])
     for part, _ in stages(ctx):
         for rows in (part.divide_rows, part.extend_rows):
-            if wide:
-                assert type(rows.inverses) is tuple
-            else:
-                assert rows.inverses.typecode == "q"
-
-
-def check_pass(ctx, pairs):
-    """bmm against scalar modmul, every trace row against the reference."""
-    ms = ctx.mset
-    for a, b in pairs:
-        ea, eb = encode(a, ms), encode(b, ms)
-        assert decode_crt(bmm(ea, eb, ctx)) == modmul(a, b, ctx.params)
-        tr = trace_bmm(ea, eb, ctx)
-        x, d_partial, d_full, e, q_partial, q_full, c = reference_pass(ea, eb, ctx)
-        assert tr.x.values == x
-        assert tr.d_partial.values == d_partial
-        assert tr.d_full.values == d_full
-        assert tr.e.values == e
-        assert tr.q_partial.values == q_partial
-        assert tr.q_full.values == q_full
-        assert tr.c.values == c
-
-
-def operand_pairs(ctx, seed: int, count: int = 25):
-    rng = random.Random(seed)
-    limit = ctx.params.case.input_bound * ctx.params.modulus
-    top = limit - 1
-    return [(top, top), (top, 0), (0, 0)] + [
-        (rng.randrange(limit), rng.randrange(limit)) for _ in range(count)
-    ]
+            assert type(rows.inverses) is tuple
 
 
 EDGES = {
@@ -238,8 +224,9 @@ EDGES = {
 def test_edge_shapes_share_tables_and_match(ctx):
     g_part, h_part = ctx._g_partition, ctx._h_partition
     assert outside(ctx)
-    assert h_part.extend_rows.columns[: len(ctx.g_indices)] == g_part.divide_rows.columns
-    assert g_part.extend_rows.columns[: len(ctx.h_indices)] == h_part.divide_rows.columns
+    g_groups, h_groups = len(g_part.divide_rows.peel), len(h_part.divide_rows.peel)
+    assert h_part.extend_rows.columns[:g_groups] == g_part.divide_rows.columns
+    assert g_part.extend_rows.columns[:h_groups] == h_part.divide_rows.columns
     check_pass(ctx, operand_pairs(ctx, len(ctx.mset.moduli)))
 
 
@@ -247,10 +234,13 @@ def test_lane_crossing_context_widens_shared_lanes():
     ctx = EDGES["lane-crossing"]
     ms = ctx.mset
     part = ctx._g_partition
-    assert len(ctx.g_indices) == 16 and len(outside(ctx)) >= 1
-    assert ms.moduli[-1] < 1 << 30
-    assert part.divide_rows.width == 72
-    assert PeelRows(ms, part.divisor_indices, remaining_indices(part)).width == 64
+    assert len(ctx.g_indices) == 4 and len(outside(ctx)) >= 1
+    assert part.groups.members[0] == ctx.g_indices
+    assert ms.moduli[-1] < 1 << 61
+    assert max(part.groups.moduli).bit_length() == 244
+    assert part.divide_rows.width == 496
+    rest = sorted(part.divide_rows.rest)
+    assert PeelRows(table_moduli(part), part.divide_rows.peel, rest).width == 488
 
 
 def test_no_channel_outside_g_and_h():
@@ -267,7 +257,7 @@ def test_no_channel_outside_g_and_h():
     )
     assert outside(ctx) == ()
     assert ctx._h_partition.extend_rows.columns == ctx._g_partition.divide_rows.columns
-    assert ctx._g_partition.divide_rows.rest == h_indices
+    assert channels(ctx._g_partition, ctx._g_partition.divide_rows.rest) == h_indices
     limit = isqrt(params.g * modulus)
     rng = random.Random(6)
     pairs = [(limit - 1, limit - 1), (0, 0)]
@@ -283,10 +273,14 @@ def test_overlapping_and_unit_g_contexts_build_their_own_tables():
         for part in (ctx._g_partition, ctx._h_partition):
             if part is None:
                 continue
-            divisors, remaining = part.divisor_indices, remaining_indices(part)
+            # Each partition groups its own divisor and surviving channels.
+            moduli = table_moduli(part)
+            divisors, remaining = part.divide_rows.peel, part.divide_rows.rest
+            assert channels(part, divisors) == part.divisor_indices
+            assert channels(part, remaining) == remaining_indices(part)
             for rows, alone in (
-                (part.divide_rows, PeelRows(ms, divisors, remaining)),
-                (part.extend_rows, PeelRows(ms, remaining, divisors)),
+                (part.divide_rows, PeelRows(moduli, divisors, remaining)),
+                (part.extend_rows, PeelRows(moduli, remaining, divisors)),
             ):
                 assert (rows.peel, rows.rest) == (alone.peel, alone.rest)
                 assert rows.width == alone.width

@@ -4,11 +4,11 @@ Each stage is compared with an oracle that shares no code with channel
 peeling: ``encode`` of the big-integer result for the stages, the scalar
 ``barrett.modmul`` for ``bmm``. The shapes are the ones the peeling rows
 handle specially: one-channel divisor and remaining sets, g = 1, g and h
-overlapping, h leaving a single channel, 62-bit moduli, moduli too wide for
-64-bit arrays, and the smallest capacity margin in each range case. The
-packed accumulator of the peeling is checked at its worst case, every digit
-at its largest, against exact per-lane sums and a one-modulus-at-a-time
-peel.
+overlapping, h leaving a single channel, 62-bit moduli, moduli wider than
+64 bits, and the smallest capacity margin in each range case. The packed
+accumulator of the peeling is checked at its worst case, every digit at
+its largest, against exact per-lane sums and a one-modulus-at-a-time peel,
+over channel moduli and over the group products narrow word sizes peel.
 """
 
 import random
@@ -32,9 +32,15 @@ from rnsbarrett import (
     trace_bmm,
 )
 from rnsbarrett.barrett import capacity_condition
-from rnsbarrett.rns import PeelRows
+from rnsbarrett.rns import PeelRows, _peel
 
-from helpers import divisor_product, peel_division, reference_peel, remaining_indices
+from helpers import (
+    divisor_product,
+    peel_division,
+    reference_peel,
+    remaining_indices,
+    table_moduli,
+)
 
 EX_SET = make_moduli_set([4, 5, 7, 11])
 WORD30_SET = make_moduli_set(
@@ -156,8 +162,10 @@ def lanes(value: int, width: int, count: int) -> list[int]:
 
 def test_moduli_wider_than_64_bits():
     ctx = make_context(WIDE_SET, (1 << 100) + 277, (0,), (2, 3), RangeCase.CASE2)
-    moduli = WIDE_SET.moduli
     for part in (ModuliPartition(WIDE_SET, (0,)), ModuliPartition(WIDE_SET, (2, 3))):
+        # Groups hold up to 254 bits: 89 + 107 in the first partition's
+        # rest, 107 + 127 in the second one's divisors.
+        moduli = table_moduli(part)
         for rows in (part.divide_rows, part.extend_rows):
             assert type(rows.inverses) is tuple
             peeled = [moduli[k] for k in rows.peel]
@@ -206,26 +214,45 @@ def test_trace_rows_are_the_public_stages(ctx):
         assert decode_crt(tr.c) == modmul(a, b, ctx.params)
 
 
-def peel_sets(ms):
-    """Peel orders over ms: each channel alone, ascending and descending
-    halves, and all but the last channel."""
-    n = len(ms.moduli)
+def peel_sets(n: int):
+    """Peel orders over n channels: each channel alone, ascending and
+    descending halves, and all but the last channel."""
     half = tuple(range(0, n, 2))
     return [(i,) for i in range(n)] + [half, half[::-1], tuple(range(n - 1))]
 
 
-@pytest.mark.parametrize(
-    "ms", [WORD30_SET, WORD62_SET, WIDE_SET], ids=["word30", "word62", "wide"]
-)
-def test_packed_lanes_hold_worst_case_sums(ms):
+def group_moduli(word_bits: int, bits: int) -> tuple:
+    """The group moduli a selected context's tables index, in table order."""
+    ctx = select_context((1 << (bits - 1)) + 95, RangeCase.CASE2, word_bits)
+    groups = ctx._h_partition.groups
+    assert max(map(len, groups.members)) > 1
+    return groups.moduli
+
+
+# Channel moduli, then group products: at 8-bit words each role is one group
+# of at most 14 channels, and at 16, 30, 62 and 126 bits groups hold up to
+# 15, 8, 4 and 2 channels.
+PEELED = {
+    "word30": WORD30_SET.moduli,
+    "word62": WORD62_SET.moduli,
+    "wide": WIDE_SET.moduli,
+    **{
+        f"grouped{word_bits}": group_moduli(word_bits, bits)
+        for word_bits, bits in ((8, 96), (16, 256), (30, 512), (62, 1024), (126, 2048))
+    },
+}
+
+
+@pytest.mark.parametrize("moduli", PEELED.values(), ids=PEELED.keys())
+def test_packed_lanes_hold_worst_case_sums(moduli):
     # Every digit at p_l - 1, run through the accumulator as the kernel runs
     # it: the lane read before each digit and the rest lanes left at the end
     # are their exact sums, below 2**width, and nothing spills above the
-    # top lane.
-    moduli = ms.moduli
-    for peel in peel_sets(ms):
+    # top lane. Residues p_i - 1 on every channel encode the product minus
+    # one, and ``_peel`` divides and extends it exactly.
+    for peel in peel_sets(len(moduli)):
         rest = [i for i in range(len(moduli)) if i not in peel]
-        rows = PeelRows(ms, peel, rest)
+        rows = PeelRows(moduli, peel, rest)
         peeled = [moduli[k] for k in peel]
         digits = [p - 1 for p in peeled]
         width = rows.width
@@ -243,6 +270,11 @@ def test_packed_lanes_hold_worst_case_sums(ms):
         expected = [exact(moduli[i], len(digits)) for i in rest]
         assert all(s < 1 << width for s in expected)
         assert lanes(acc, width, len(rest)) == expected
+        top = [m - 1 for m in moduli]
+        quotient = (prod(moduli) - 1) // prod(peeled)
+        assert _peel(rows, moduli, top) == [quotient % moduli[i] for i in rest]
+        known = prod(peeled) - 1
+        assert _peel(rows, moduli, top, divide=False) == [known % moduli[i] for i in rest]
 
 
 @pytest.mark.parametrize(
@@ -254,7 +286,7 @@ def test_peel_of_all_maximal_residues_matches_reference(ms):
     # Residues m_i - 1 encode M - 1, whose mixed-radix digits are all
     # maximal, so every lane sum is as large as the kernel ever sees.
     top = [m - 1 for m in ms.moduli]
-    for peel in peel_sets(ms):
+    for peel in peel_sets(len(ms.moduli)):
         got = list(top)
         expected = list(top)
         peel_division(ms, got, peel)

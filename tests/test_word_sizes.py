@@ -1,10 +1,10 @@
 """Contexts across the range of word sizes, and the CLI at its default.
 
-The storage of a peel table changes at the word sizes tested here: below
-2**63 the inverses fit a signed 64-bit array, up to 2**64 the lanes fit an
-unsigned one, and wider moduli go through tuples and lists. ``bmm`` is
-compared with the scalar ``barrett.modmul`` and ``bmm_modexp`` with
-``pow``, neither of which shares code with channel peeling.
+The peel groups change at the word sizes tested here: four channels of 63
+bits fit one default word, three of 64 or 65 bits, two of 126, and from
+254 bits on every channel is a group of its own. ``bmm`` is compared with
+the scalar ``barrett.modmul`` and ``bmm_modexp`` with ``pow``, neither of
+which shares code with channel peeling.
 """
 
 import random
