@@ -47,7 +47,6 @@ from .rns import (
     decode_crt,
     encode,
     make_moduli_set,
-    to_mixed_radix,
 )
 from .rns_barrett import (
     RnsBarrettContext,
@@ -100,6 +99,5 @@ __all__ = [
     "oracle_modmul",
     "quotient_by_moduli_product",
     "select_context",
-    "to_mixed_radix",
     "trace_bmm",
 ]

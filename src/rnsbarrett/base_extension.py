@@ -23,14 +23,15 @@ with no seed, no quotient and no multiply by P. The seeded arithmetic
 lives in the tests (``helpers.seeded_extend``), which show that the seed
 does not matter.
 
-The peel runs in Garner form (``rns.PeelRows``) over groups of channels
-(``quotient.ChannelGroups``; one channel each at the default word size):
-one multiply-add per known group on a packed accumulator that holds the
-pending sums of every later known group and every unknown group, and
-drops one w-bit lane per digit. With n-k known groups out of n that is n-k
-multiply-adds, on integers shrinking from n-1 lanes to k. Each residue is
-then written at its channel index. Together with its quotient, a stage
-costs n packed multiply-adds and one small step per group and per channel.
+The peel runs in Garner form (``rns.PeelRows``): one multiply-add per
+known modulus on a packed accumulator that holds the pending sums of every
+later known modulus and every unknown one, and drops one w-bit lane per
+digit. With n-k known moduli out of n that is n-k multiply-adds, on
+integers shrinking from n-1 lanes to k. Each residue is then written at its
+channel index. Together with its quotient, a stage costs n packed
+multiply-adds and one small step per modulus. A context's pass hands this
+stage vectors over its pass set (``quotient.ChannelGroups``), so at narrow
+word sizes a modulus is a group of channels and n counts groups.
 """
 
 from .errors import EmptyKnownSet
@@ -52,17 +53,12 @@ def base_extend(x: PartialResidueVector) -> ResidueVector:
     values = x.values
     if not values:
         raise EmptyKnownSet("nothing to extend from")
-    rows, groups, known = x._extend or (None, None, values)
+    rows = x._extend
     if rows is None:
         rows = PeelRows(moduli, tuple(values), [i for i in range(n) if i not in values])
     full = [0] * n
     for i, v in values.items():
         full[i] = v
-    if groups is None:
-        extended = zip(rows.rest, _peel(rows, moduli, values, divide=False))
-    else:
-        peeled = _peel(rows, groups.moduli, known, divide=False)
-        extended = groups.split(zip(rows.rest, peeled)).items()
-    for i, v in extended:
+    for i, v in zip(rows.rest, _peel(rows, moduli, values, divide=False)):
         full[i] = v
     return ResidueVector._reduced(tuple(full), ms)

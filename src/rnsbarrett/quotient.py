@@ -6,21 +6,28 @@ digits of the dividend over them, and the quotient on each surviving
 channel is the dividend minus those digits' positional sum, times the
 inverse of the divisor product. In Garner form all those sums run in one
 packed accumulator (``rns._peel``, the package's one peel loop) fed by
-columns of prefix products that the partition precomputes. Neither the
-quotient nor base extension depends on how a product is factored, so a
-stage peels groups of channels (``ChannelGroups``) as single digits: k
-divisor groups out of n cost k multiply-adds on an integer that shrinks by
-one w-bit lane per digit, from n-1 lanes to n-k (see ``rns.PeelRows`` for
-w), then one small multiply-add per surviving group. At the default word
-size a group is one channel; at 30-bit words a 2048-bit pass peels 38
-digits instead of 278. The result is known only on the surviving
-channels; that is still a complete description, since the quotient is
-smaller than the product of the surviving moduli.
+columns of prefix products that the partition precomputes. Peeling k
+divisor moduli out of n costs k multiply-adds on an integer that shrinks
+by one w-bit lane per digit, from n-1 lanes to n-k (see ``rns.PeelRows``
+for w), then one small multiply-add per surviving modulus. The result is
+known only on the surviving channels; that is still a complete
+description, since the quotient is smaller than the product of the
+surviving moduli.
+
+A digit costs about the same at any modulus width, and neither the
+quotient nor base extension depends on how a product is factored. So a
+context whose narrow channels fall into groups (``ChannelGroups``, the
+rule in ``_group``) runs its whole pass on the group moduli, its pass
+set: ``rns_barrett`` combines the channel product into group residues once
+on entry and splits the result into channels once on exit, and the stages
+here see only the pass set. At the default word size every group is one
+channel and the pass set is the context's own; at 30-bit words a 2048-bit
+pass peels 38 digits instead of 278. A ``ModuliPartition`` built on its
+own peels the moduli of its set, one channel per digit.
 
 A stage is one pass over plain sequences: the peel indexes the dividend's
-residues directly, and the result carries the partition's extension rows
-and its group residues, so the base extension that follows builds no rows
-and combines nothing.
+residues directly, and the result carries the partition's extension rows,
+so the base extension that follows builds no rows.
 
 Which tables a context's two stages use is decided in one place,
 ``_stage_partitions``: a context whose g is nonempty and disjoint from h
@@ -30,7 +37,7 @@ shares two tables between its stages, not four.
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from math import prod
-from operator import itemgetter, mul
+from operator import itemgetter, mod, mul
 
 from .errors import SetMismatch
 from .rns import (
@@ -41,80 +48,103 @@ from .rns import (
     _peel,
 )
 
-# The default word size of ``selection``, and the most bits of moduli a peel
+# The default word size of ``selection``, and the most bits of moduli a
 # group holds, so at the default every group is one channel.
 DEFAULT_WORD_BITS = 254
 
 
 class ChannelGroups:
-    """Channels peeled as groups, one digit per group.
+    """A moduli set's channels taken as groups, and the two residue forms.
 
-    ``members`` holds each group's channel indices and ``moduli`` its
-    modulus, the product of its members' moduli; both are indexed by group.
-    ``combine`` turns channel residues into group residues by the remainder
-    theorem, with one weight per channel computed here, and ``split`` turns
-    group residues back into channel ones.
-    Instances are immutable in use and safe to share between threads.
+    ``channels`` is the channel set and ``pass_set`` the set of the group
+    moduli, each the product of its members' moduli; ``members`` holds each
+    group's channel indices, in the order of ``pass_set.moduli``.
+    ``combine`` turns channel residues into a pass-set vector by the
+    remainder theorem, with one weight per channel computed here;
+    ``split`` and ``split_known`` turn pass-set vectors back into channel
+    ones. Instances are immutable in use and safe to share between threads.
     """
 
-    __slots__ = ("members", "moduli", "_channel_moduli", "_get", "_weights", "_sizes")
+    __slots__ = ("channels", "pass_set", "members", "_get", "_weights", "_sizes", "_owner")
 
-    def __init__(self, channel_moduli, members):
-        self.members = tuple(map(tuple, members))
-        self.moduli = tuple(prod(channel_moduli[i] for i in g) for g in self.members)
-        self._channel_moduli = channel_moduli
+    def __init__(self, channels: ModuliSet, members):
+        moduli = channels.moduli
+        by_modulus = sorted((prod(moduli[i] for i in group), tuple(group)) for group in members)
+        self.channels = channels
+        # Products of disjoint sets of coprime moduli are coprime.
+        self.pass_set = ModuliSet._coprime(tuple(p for p, _ in by_modulus), channels.product)
+        self.members = tuple(group for _, group in by_modulus)
         self._get = itemgetter(*chain.from_iterable(self.members))
         # Mod P, a value is sum v_i * w_i over its residues v_i mod the
         # members m_i, with w_i = c_i * (c_i^-1 mod m_i) and c_i = P / m_i:
         # 1 for a group of one channel.
         self._weights = tuple(
             p // m * pow(p // m, -1, m)
-            for group, p in zip(self.members, self.moduli)
-            for m in map(channel_moduli.__getitem__, group)
+            for group, p in zip(self.members, self.pass_set.moduli)
+            for m in map(moduli.__getitem__, group)
         )
         self._sizes = tuple(map(len, self.members))
+        owner = [0] * len(moduli)
+        for j, group in enumerate(self.members):
+            for i in group:
+                owner[i] = j
+        self._owner = itemgetter(*owner)
 
-    def combine(self, values) -> list[int]:
-        """Values congruent to the group residues of the channel ``values``.
-
-        Indexed by group. A group's sum is not reduced by its modulus:
-        ``rns._peel`` reduces every value it reads.
-        """
+    def combine(self, values) -> ResidueVector:
+        """The pass-set vector of ``values``, indexed by channel, each any
+        integer congruent to its channel's residue."""
         terms = map(mul, self._get(values), self._weights)
-        return [sum(islice(terms, size)) for size in self._sizes]
+        pass_set = self.pass_set
+        return ResidueVector._reduced(
+            tuple(sum(islice(terms, size)) % p for size, p in zip(self._sizes, pass_set.moduli)),
+            pass_set,
+        )
 
-    def split(self, pairs) -> dict[int, int]:
-        """Residues keyed by channel, of every member of each ``(group, residue)``."""
-        moduli, members = self._channel_moduli, self.members
-        return {i: r % moduli[i] for j, r in pairs for i in members[j]}
+    def split(self, rv: ResidueVector) -> ResidueVector:
+        """The channel vector of the pass-set vector ``rv``."""
+        channels = self.channels
+        return ResidueVector._reduced(
+            tuple(map(mod, self._owner(rv.values), channels.moduli)), channels
+        )
+
+    def split_known(self, prv: PartialResidueVector) -> PartialResidueVector:
+        """The channel residues of every member of the groups ``prv`` knows."""
+        channels, members = self.channels, self.members
+        moduli = channels.moduli
+        return PartialResidueVector._reduced(
+            {i: r % moduli[i] for j, r in prv.values.items() for i in members[j]}, channels
+        )
 
 
-def _group(mset: ModuliSet, roles):
-    """The moduli peel tables index, each role's indices into them, the groups.
+def _group(mset: ModuliSet, g_indices, h_indices):
+    """The set a context's pass runs on, g and h as indices into it, the groups.
 
-    Within each role (channel indices in peel order) a group takes the next
-    channel while its members' bit lengths sum to at most
-    ``DEFAULT_WORD_BITS``, so a channel at least that wide is a group of
-    its own. When every group is one channel the groups are None and the
-    tables index the set's own moduli by channel.
+    Channels have four roles: in g only, in h only, in both, in neither.
+    Within each role, in ascending order, a group takes the next channel
+    while its members' bit lengths sum to at most ``DEFAULT_WORD_BITS``,
+    so a channel at least that wide is a group of its own and every group
+    lies wholly inside or outside g and h. When every group is one channel
+    the groups are None and the pass runs on ``mset`` itself.
     """
     moduli = mset.moduli
-    members, ids = [], []
-    for role in roles:
-        first = len(members)
+    in_g, in_h = set(g_indices), set(h_indices)
+    neither = set(range(len(moduli))) - in_g - in_h
+    members = []
+    for role in (in_g - in_h, in_h - in_g, in_g & in_h, neither):
         width = DEFAULT_WORD_BITS  # each role starts a group
-        for i in role:
+        for i in sorted(role):
             bits = moduli[i].bit_length()
             if width + bits > DEFAULT_WORD_BITS:
                 members.append([])
                 width = 0
             members[-1].append(i)
             width += bits
-        ids.append(tuple(range(first, len(members))))
-    if len(members) == sum(map(len, roles)):
-        return moduli, tuple(map(tuple, roles)), None
-    groups = ChannelGroups(moduli, members)
-    return groups.moduli, tuple(ids), groups
+    if len(members) == len(moduli):
+        return mset, g_indices, h_indices, None
+    groups = ChannelGroups(mset, members)
+    g_ids = tuple(j for j, group in enumerate(groups.members) if group[0] in in_g)
+    h_ids = tuple(j for j, group in enumerate(groups.members) if group[0] in in_h)
+    return groups.pass_set, g_ids, h_ids, groups
 
 
 def _sorted_indices(n: int, indices, name: str) -> tuple[int, ...]:
@@ -145,9 +175,8 @@ class ModuliPartition:
 
     The divisor indices select the moduli whose product is divided out; they
     may be any nonempty proper subset, not necessarily a prefix. Peeling
-    happens in ascending index order, the divisor and the surviving
-    channels each cut into ``groups``, or one channel at a time when that
-    is None (the result does not depend on the order or the grouping).
+    happens in ascending index order, one modulus of the set per digit (the
+    result does not depend on the order).
 
     A pass reads two ``PeelRows``: ``divide_rows`` peel the divisor
     channels and update the surviving ones (the quotient), and
@@ -164,27 +193,25 @@ class ModuliPartition:
     divisor_indices: tuple[int, ...]
     divide_rows: PeelRows = field(init=False, repr=False, compare=False)
     extend_rows: PeelRows = field(init=False, repr=False, compare=False)
-    groups: ChannelGroups | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx, remaining = _split(self.mset, self.divisor_indices)
         self.divisor_indices = idx
-        moduli, (divisors, rest), self.groups = _group(self.mset, (idx, remaining))
-        self.divide_rows = PeelRows(moduli, divisors, rest)
-        self.extend_rows = PeelRows(moduli, rest, divisors)
+        moduli = self.mset.moduli
+        self.divide_rows = PeelRows(moduli, idx, remaining)
+        self.extend_rows = PeelRows(moduli, remaining, idx)
 
 
 def _stage_partitions(
     mset: ModuliSet, g_indices, h_indices
 ) -> tuple[ModuliPartition | None, ModuliPartition]:
-    """The g- and h-stage partitions of one context; None for g = 1.
+    """The g- and h-stage partitions of one pass set; None for g = 1.
 
-    With g nonempty and disjoint from h, and x the channels in neither,
-    the table that peels g + x and extends to h is the h-stage's
-    extension, and its head of g's groups is the g-stage's divide rows;
-    the table that peels h + x and extends to g serves the other way
-    round. Both stages peel the same groups of g, h and x. Otherwise each
-    partition builds its own two tables.
+    With g nonempty and disjoint from h, and x the moduli in neither, the
+    table that peels g + x and extends to h is the h-stage's extension,
+    and its head of g's moduli is the g-stage's divide rows; the table
+    that peels h + x and extends to g serves the other way round.
+    Otherwise each partition builds its own two tables.
     """
     if not g_indices or not set(g_indices).isdisjoint(h_indices):
         g_part = ModuliPartition(mset, g_indices) if g_indices else None
@@ -193,20 +220,19 @@ def _stage_partitions(
     h = _split(mset, h_indices)[0]
     in_h = set(h)
     x = tuple(i for i in g_rest if i not in in_h)
-    moduli, (g_ids, h_ids, x_ids), groups = _group(mset, (g, h, x))
-    extend_h = PeelRows(moduli, g_ids + x_ids, h_ids)
-    extend_g = PeelRows(moduli, h_ids + x_ids, g_ids)
+    moduli = mset.moduli
+    extend_h = PeelRows(moduli, g + x, h)
+    extend_g = PeelRows(moduli, h + x, g)
 
-    def stage(idx, ids, divide_from, extend_rows):
+    def stage(idx, divide_from, extend_rows):
         part = object.__new__(ModuliPartition)
         part.mset = mset
         part.divisor_indices = idx
-        part.divide_rows = divide_from.head(moduli, len(ids))
+        part.divide_rows = divide_from.head(moduli, len(idx))
         part.extend_rows = extend_rows
-        part.groups = groups
         return part
 
-    return stage(g, g_ids, extend_h, extend_g), stage(h, h_ids, extend_g, extend_h)
+    return stage(g, extend_h, extend_g), stage(h, extend_g, extend_h)
 
 
 def quotient_by_moduli_product(
@@ -218,20 +244,11 @@ def quotient_by_moduli_product(
     it is below the product of the surviving moduli the returned partial
     vector determines it uniquely. Divisor-channel residues are consumed by
     the peeling and are deliberately absent from the result, which carries
-    the partition's ``extend_rows`` and group residues so that
-    ``base_extend`` builds no rows.
+    the partition's ``extend_rows`` so that ``base_extend`` builds no rows.
     """
     mset = part.mset
     if x.mset is not mset and x.mset != mset:
         raise SetMismatch("partition and vector use different moduli sets")
     rows = part.divide_rows
-    groups = part.groups
-    if groups is None:
-        values = dict(zip(rows.rest, _peel(rows, mset.moduli, x.values)))
-        return PartialResidueVector._reduced(
-            values, mset, (part.extend_rows, None, values)
-        )
-    known = dict(zip(rows.rest, _peel(rows, groups.moduli, groups.combine(x.values))))
-    return PartialResidueVector._reduced(
-        groups.split(known.items()), mset, (part.extend_rows, groups, known)
-    )
+    values = dict(zip(rows.rest, _peel(rows, mset.moduli, x.values)))
+    return PartialResidueVector._reduced(values, mset, part.extend_rows)

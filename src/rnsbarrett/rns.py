@@ -5,8 +5,7 @@ coprime moduli whose product is M. Addition, subtraction and multiplication
 then act channel by channel with no carries between channels. Decoding back
 to an ordinary integer sums the remainder theorem's terms with one weight
 below its modulus per channel, which each moduli set computes on its first
-decode and keeps; mixed-radix digits come from Garner's recurrence, which
-stores nothing. Encoding an operand of more than 1024 bits reduces it
+decode and keeps. Encoding an operand of more than 1024 bits reduces it
 once per run of consecutive moduli, a product of at most 512 bits, instead
 of once per modulus; each set groups its runs on its first such encode
 and keeps them.
@@ -76,6 +75,13 @@ class ModuliSet:
         self.product = product
         self._crt_weights = None
         self._runs = None
+
+    @classmethod
+    def _coprime(cls, ordered: tuple[int, ...], product: int) -> "ModuliSet":
+        """Ascending, pairwise coprime moduli and their product; skips validation."""
+        ms = object.__new__(cls)
+        ms.moduli, ms.product, ms._crt_weights, ms._runs = ordered, product, None, None
+        return ms
 
     def __len__(self) -> int:
         return len(self.moduli)
@@ -155,8 +161,8 @@ class PartialResidueVector:
 
     values: dict[int, int]
     mset: ModuliSet
-    # What a quotient hands base extension; see ``_reduced``.
-    _extend: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # The rows a quotient hands base extension; see ``_reduced``.
+    _extend: "PeelRows | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = {index(i): index(v) for i, v in dict(self.values).items()}
@@ -175,10 +181,8 @@ class PartialResidueVector:
     ) -> "PartialResidueVector":
         """A nonempty vector reduced by construction; skips validation.
 
-        ``extend``, if given, is ``(rows, groups, known)``: rows that peel
-        the channels ``values`` holds and extend to the others, the
-        ``quotient.ChannelGroups`` they index (None: they index channels),
-        and the residues keyed by the groups they peel.
+        ``extend``, if given, is the ``PeelRows`` that peel the channels
+        ``values`` holds and extend to the others.
         """
         prv = object.__new__(cls)
         prv.values = values
@@ -242,24 +246,6 @@ def encode(x: int, ms: ModuliSet) -> ResidueVector:
     return ResidueVector._reduced(tuple(values), ms)
 
 
-def _garner(rv: ResidueVector) -> tuple[list[int], int]:
-    """Mixed-radix digits of the encoded integer x, and x itself.
-
-    Garner's recurrence over the moduli in ascending order: with x_i the
-    integer the first i channels encode and P_i the product of their
-    moduli, digit d_i = (v_i - x_i) * P_i^-1 mod m_i and x_{i+1} = x_i +
-    d_i * P_i. Each x_i is below P_i, so x needs no final reduction.
-    """
-    digits = []
-    x, place = 0, 1
-    for v, m in zip(rv.values, rv.mset.moduli):
-        d = (v - x) * pow(place, -1, m) % m
-        digits.append(d)
-        x += d * place
-        place *= m
-    return digits, x
-
-
 def decode_crt(rv: ResidueVector) -> int:
     """The unique integer in [0, M) with the vector's residues.
 
@@ -286,19 +272,12 @@ def decode_crt(rv: ResidueVector) -> int:
     return total % place
 
 
-def to_mixed_radix(rv: ResidueVector) -> tuple[int, ...]:
-    """Digits d_i with x = d_0 + d_1 * m_0 + d_2 * m_0 * m_1 + ...
-
-    The moduli are taken in ascending order and each d_i is below m_i.
-    """
-    return tuple(_garner(rv)[0])
-
-
 class PeelRows:
     """Packed columns for peeling an ordered set of channels.
 
-    ``moduli`` is what the channel indices index: a set's moduli, or the
-    products of ``quotient.ChannelGroups``. Peeling the moduli p_0, p_1,
+    ``moduli`` is what the channel indices index, a set's moduli: the
+    channels', or a context's pass set of group products
+    (``quotient.ChannelGroups``). Peeling the moduli p_0, p_1,
     ... (the moduli at ``peel``, in that order) pulls off the mixed-radix
     digits d_0, d_1, ... of the encoded integer x, with place values
     P_0 = 1, P_1 = p_0, P_2 = p_0 * p_1, and so on. Digit j and the residue
@@ -315,8 +294,8 @@ class PeelRows:
     K times that bound, rounded up to whole bytes, no lane sum carries into
     the next. ``inverses`` is a tuple of P_j^-1 mod p_j, then P_K^-1 mod
     m_i. A peel costs one packed multiply-add per peeled channel, whatever
-    its width, so a pass pays per digit: tables over groups of narrow
-    channels take a fraction of the steps of tables over the channels.
+    its width, so a pass pays per digit: a pass set of groups of narrow
+    channels takes a fraction of the steps of the channels.
 
     Column l's lanes do not depend on which of the later channels are
     peeled, so the first k columns of these rows are also the columns of
@@ -332,7 +311,7 @@ class PeelRows:
         self.peel = tuple(peel)
         self.rest = tuple(rest)
         peeled = [moduli[k] for k in self.peel]
-        # The largest modulus bounds every entry; group products are not
+        # The largest modulus bounds every entry; ``moduli`` need not be
         # ascending.
         size = ((len(peeled) * (max(moduli) - 1) ** 2).bit_length() + 7) // 8
         self.width = 8 * size

@@ -17,12 +17,13 @@ M/g and the second below M/h.
 
 from dataclasses import dataclass, field
 from math import prod
+from operator import mul
 
 from .barrett import BarrettParams, RangeCase, capacity_condition, make_params
 from .base_extension import base_extend
 from .errors import SetMismatch
-from .quotient import ModuliPartition, _sorted_indices, _stage_partitions
-from .quotient import quotient_by_moduli_product
+from .quotient import ChannelGroups, ModuliPartition, _group, _sorted_indices
+from .quotient import _stage_partitions, quotient_by_moduli_product
 from .rns import ModuliSet, PartialResidueVector, ResidueVector, encode
 
 
@@ -36,7 +37,11 @@ class RnsBarrettContext:
     immutable in use (nothing assigns to them after construction) and safe
     to share across threads.
 
-    The stages' partitions and the peel tables they share come from
+    The pass runs on ``_pass_set``: the group moduli of ``_groups`` (see
+    ``quotient._group``) when narrow channels fall into groups, otherwise
+    ``mset`` itself, with ``_groups`` None. mu and N are stored once, on the
+    pass set; ``mu_rv`` and ``n_rv`` compute their channel residues. The
+    stages' partitions and the peel tables they share come from
     ``quotient._stage_partitions``: two tables when g is nonempty and
     disjoint from h, which is every context ``select_context`` builds, and
     two per partition otherwise.
@@ -46,20 +51,36 @@ class RnsBarrettContext:
     params: BarrettParams
     g_indices: tuple[int, ...]
     h_indices: tuple[int, ...]
-    mu_rv: ResidueVector
-    n_rv: ResidueVector
+    _pass_set: ModuliSet = field(init=False, repr=False, compare=False)
+    _groups: ChannelGroups | None = field(init=False, repr=False, compare=False)
+    _mu: ResidueVector = field(init=False, repr=False)
+    _n: ResidueVector = field(init=False, repr=False)
     _g_partition: ModuliPartition | None = field(init=False, repr=False)
     _h_partition: ModuliPartition = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._g_partition, self._h_partition = _stage_partitions(
+        pass_set, g_ids, h_ids, self._groups = _group(
             self.mset, self.g_indices, self.h_indices
         )
+        self._pass_set = pass_set
+        self._g_partition, self._h_partition = _stage_partitions(pass_set, g_ids, h_ids)
+        self._mu = encode(self.params.mu, pass_set)
+        self._n = encode(self.params.modulus, pass_set)
+
+    @property
+    def mu_rv(self) -> ResidueVector:
+        """mu's residues on the channels."""
+        return self._mu if self._groups is None else self._groups.split(self._mu)
+
+    @property
+    def n_rv(self) -> ResidueVector:
+        """N's residues on the channels."""
+        return self._n if self._groups is None else self._groups.split(self._n)
 
 
 @dataclass(frozen=True, slots=True)
 class StepTrace:
-    """Intermediate residue vectors of one multiply-reduce pass.
+    """Intermediate residue vectors of one multiply-reduce pass, on the channels.
 
     Partial vectors keep their unknown channels structurally absent, which
     is how the trace records which channels each quotient determined.
@@ -91,22 +112,20 @@ def make_context(
     h = prod((ms.moduli[i] for i in h_idx), start=1)
     params = make_params(modulus, g, h, case)
     capacity_condition(modulus, h, ms.product, params.case).require()
-    return RnsBarrettContext(
-        mset=ms,
-        params=params,
-        g_indices=g_idx,
-        h_indices=h_idx,
-        mu_rv=encode(params.mu, ms),
-        n_rv=encode(modulus, ms),
-    )
+    return RnsBarrettContext(mset=ms, params=params, g_indices=g_idx, h_indices=h_idx)
 
 
 def _multiply_reduce(a: ResidueVector, b: ResidueVector, ctx: RnsBarrettContext):
-    """One pass; returns StepTrace's fields in order, d_partial None if g = 1."""
+    """One pass on the pass set; StepTrace's fields in order, d_partial None if g = 1.
+
+    With groups, the channel products a_i * b_i combine into the pass set's
+    x once; every later vector is on the pass set.
+    """
     mset = ctx.mset
     if (a.mset is not mset and a.mset != mset) or (b.mset is not mset and b.mset != mset):
         raise SetMismatch("operands do not belong to the context's moduli set")
-    x = a * b
+    groups = ctx._groups
+    x = a * b if groups is None else groups.combine(list(map(mul, a.values, b.values)))
     if ctx._g_partition is None:
         # g = 1: the first quotient is x itself, already known everywhere.
         d_partial = None
@@ -114,10 +133,10 @@ def _multiply_reduce(a: ResidueVector, b: ResidueVector, ctx: RnsBarrettContext)
     else:
         d_partial = quotient_by_moduli_product(x, ctx._g_partition)
         d_full = base_extend(d_partial)
-    e = d_full * ctx.mu_rv
+    e = d_full * ctx._mu
     q_partial = quotient_by_moduli_product(e, ctx._h_partition)
     q_full = base_extend(q_partial)
-    c = x - q_full * ctx.n_rv
+    c = x - q_full * ctx._n
     return x, d_partial, d_full, e, q_partial, q_full, c
 
 
@@ -129,14 +148,22 @@ def bmm(a: ResidueVector, b: ResidueVector, ctx: RnsBarrettContext) -> ResidueVe
     is exactly what the scalar ``barrett.modmul`` computes for the same
     operands and constants, not merely congruent to it.
     """
-    return _multiply_reduce(a, b, ctx)[-1]
+    c = _multiply_reduce(a, b, ctx)[-1]
+    groups = ctx._groups
+    return c if groups is None else groups.split(c)
 
 
 def trace_bmm(
     a: ResidueVector, b: ResidueVector, ctx: RnsBarrettContext
 ) -> StepTrace:
-    """Run one multiply-reduce pass and keep every intermediate vector."""
-    x, d_partial, *rest = _multiply_reduce(a, b, ctx)
+    """Run one multiply-reduce pass and keep every intermediate, split into channels."""
+    x, d_partial, d_full, e, q_partial, q_full, c = _multiply_reduce(a, b, ctx)
+    groups = ctx._groups
+    if groups is not None:
+        x, d_full, e, q_full, c = map(groups.split, (x, d_full, e, q_full, c))
+        q_partial = groups.split_known(q_partial)
+        if d_partial is not None:
+            d_partial = groups.split_known(d_partial)
     if d_partial is None:
         d_partial = PartialResidueVector._reduced(dict(enumerate(x.values)), ctx.mset)
-    return StepTrace(x, d_partial, *rest)
+    return StepTrace(x, d_partial, d_full, e, q_partial, q_full, c)

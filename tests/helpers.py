@@ -116,16 +116,37 @@ def remaining_indices(part) -> tuple:
     return tuple(i for i in range(len(part.mset.moduli)) if i not in part.divisor_indices)
 
 
-def table_moduli(part) -> tuple:
-    """The moduli a partition's peel tables index: its groups', or the set's."""
-    return part.mset.moduli if part.groups is None else part.groups.moduli
-
-
-def channels(part, ids) -> tuple:
-    """The channels, in order, of the table indices ``ids`` of a partition."""
-    if part.groups is None:
+def channels(ctx, ids) -> tuple:
+    """The channels, in order, of the pass-set indices ``ids`` of a context."""
+    if ctx._groups is None:
         return tuple(ids)
-    return tuple(i for j in ids for i in part.groups.members[j])
+    return tuple(i for j in ids for i in ctx._groups.members[j])
+
+
+def garner(rv: ResidueVector) -> tuple[list[int], int]:
+    """Mixed-radix digits of the encoded integer x, and x itself.
+
+    Garner's recurrence over the moduli in ascending order: with x_i the
+    integer the first i channels encode and P_i the product of their
+    moduli, digit d_i = (v_i - x_i) * P_i^-1 mod m_i and x_{i+1} = x_i +
+    d_i * P_i. Each x_i is below P_i, so x needs no final reduction.
+    """
+    digits = []
+    x, place = 0, 1
+    for v, m in zip(rv.values, rv.mset.moduli):
+        d = (v - x) * pow(place, -1, m) % m
+        digits.append(d)
+        x += d * place
+        place *= m
+    return digits, x
+
+
+def to_mixed_radix(rv: ResidueVector) -> tuple[int, ...]:
+    """Digits d_i with x = d_0 + d_1 * m_0 + d_2 * m_0 * m_1 + ...
+
+    The moduli are taken in ascending order and each d_i is below m_i.
+    """
+    return tuple(garner(rv)[0])
 
 
 def reference_peel(ms, current, peel):

@@ -1,36 +1,45 @@
-"""Peeling groups of channels as one digit each.
+"""Passes over groups of channels, one digit per group.
 
-Within each role (g, h and x, or a partition's divisor and surviving
-channels) a group takes the next channel while the bit lengths of its
-members add up to at most ``DEFAULT_WORD_BITS``. At that default word size
-every group is one channel, so a context's tables are the tables over its
-channels and a pass neither combines nor splits residues; narrower
-channels are peeled in groups. Passes over grouped tables are compared with
-scalar ``modmul``, the one-modulus-at-a-time reference in ``helpers`` and
-``pow``, none of which groups anything.
+Channels have four roles: in g only, in h only, in both, in neither.
+Within each role a group takes the next channel while the bit lengths of
+its members add up to at most ``DEFAULT_WORD_BITS``, and a context whose
+channels fall into groups runs its pass on the group moduli, its pass set:
+it combines the channel product once on entry and splits the result once
+on exit. At the default word size every group is one channel, so the pass
+set is the context's own set and a pass neither combines nor splits.
+Grouped passes are compared with scalar ``modmul``, the
+one-modulus-at-a-time reference in ``helpers`` and ``pow``, none of which
+groups anything.
 """
 
 import random
+from itertools import chain
 from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rnsbarrett import (
     ModuliPartition,
     PartialResidueVector,
     RangeCase,
+    SelectionFailed,
+    SetMismatch,
     base_extend,
     bmm,
     bmm_modexp,
+    decode_crt,
     encode,
     final_result,
     make_context,
     make_moduli_set,
+    modmul,
     quotient_by_moduli_product,
     select_context,
     trace_bmm,
 )
-from rnsbarrett.quotient import DEFAULT_WORD_BITS, ChannelGroups
+from rnsbarrett.quotient import DEFAULT_WORD_BITS, ChannelGroups, _group
 from rnsbarrett.rns import PeelRows
 
 from helpers import build, channels, check_pass, coprime_below, operand_pairs
@@ -41,8 +50,8 @@ def odd_modulus(bits: int) -> int:
 
 
 def roles(ctx) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each role's channels and its indices into the tables, for a context
-    with disjoint, nonempty g and h: g, h, then x."""
+    """Each role's channels and its indices into the pass set, for a
+    context with disjoint, nonempty g and h: g, h, then x."""
     g_part, h_part = ctx._g_partition, ctx._h_partition
     g_ids, h_ids = g_part.divide_rows.peel, h_part.divide_rows.peel
     x_ids = h_part.extend_rows.peel[len(g_ids):]
@@ -51,24 +60,35 @@ def roles(ctx) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return [(ctx.g_indices, g_ids), (ctx.h_indices, h_ids), (x, x_ids)]
 
 
-def check_group_rule(part, role_list):
-    """Groups cut each role in order, greedily, at most one default word each."""
-    moduli = part.mset.moduli
+def check_group_rule(ms, groups, role_list):
+    """Groups cut each role in order, greedily, at most one default word
+    each; ``role_list`` pairs each role's channels with its pass-set
+    indices, and ``groups`` None means every group is one channel."""
+    moduli = ms.moduli
+    members = [(i,) for i in range(len(moduli))] if groups is None else groups.members
 
     def bits(group):
         return sum(moduli[i].bit_length() for i in group)
 
     for role, ids in role_list:
-        assert channels(part, ids) == role
-        groups = [channels(part, (j,)) for j in ids]
-        for group in groups:
+        cut = sorted(members[j] for j in ids)
+        assert tuple(chain.from_iterable(cut)) == role
+        for group in cut:
             assert len(group) == 1 or bits(group) <= DEFAULT_WORD_BITS
-        for group, after in zip(groups, groups[1:]):
+        for group, after in zip(cut, cut[1:]):
             assert bits(group) + moduli[after[0]].bit_length() > DEFAULT_WORD_BITS
-    if part.groups is not None:
-        assert part.groups.moduli == tuple(
-            prod(moduli[i] for i in group) for group in part.groups.members
+    if groups is not None:
+        assert groups.channels is ms
+        assert groups.pass_set.moduli == tuple(
+            prod(moduli[i] for i in group) for group in groups.members
         )
+
+
+def check_groups_respect_g_and_h(ctx):
+    """Every group lies wholly inside or wholly outside g, and h."""
+    for group in ctx._groups.members:
+        for divisor in (set(ctx.g_indices), set(ctx.h_indices)):
+            assert set(group) <= divisor or not set(group) & divisor
 
 
 DEFAULT = {
@@ -80,14 +100,16 @@ DEFAULT = {
 
 @pytest.mark.parametrize("ctx", DEFAULT.values(), ids=DEFAULT.keys())
 def test_default_contexts_peel_the_channels_tables(ctx):
-    # Every group is one channel, and the tables are the ones built over
-    # the channels themselves: g + x extending to h, h + x extending to g,
-    # and the first |g| or |h| columns of those as the divide rows.
+    # Every group is one channel, so the pass runs on the context's own set
+    # and the tables are the ones built over the channels themselves: g + x
+    # extending to h, h + x extending to g, and the first |g| or |h|
+    # columns of those as the divide rows.
     ms = ctx.mset
     g_part, h_part = ctx._g_partition, ctx._h_partition
-    assert g_part.groups is None and h_part.groups is None
+    assert ctx._groups is None
+    assert ctx._pass_set is g_part.mset is h_part.mset is ms
     (g, _), (h, _), (x, _) = roles(ctx)
-    check_group_rule(g_part, roles(ctx))
+    check_group_rule(ms, None, roles(ctx))
     extend_h = PeelRows(ms.moduli, g + x, h)
     extend_g = PeelRows(ms.moduli, h + x, g)
     for rows, want in (
@@ -129,10 +151,10 @@ SHAPES = [(256, 30, 19, 5), (2048, 30, 139, 19), (512, 30, 36, 7), (1024, 16, 13
 def test_narrow_words_peel_one_digit_per_group(bits, word_bits, count, group_count):
     ctx = select_context(odd_modulus(bits), RangeCase.CASE2, word_bits)
     g_part, h_part = ctx._g_partition, ctx._h_partition
-    assert g_part.groups is h_part.groups
+    assert g_part.mset is h_part.mset is ctx._pass_set is ctx._groups.pass_set
     assert len(ctx.mset.moduli) == count
-    assert len(g_part.groups.members) == group_count
-    check_group_rule(g_part, roles(ctx))
+    assert len(ctx._groups.members) == len(ctx._pass_set.moduli) == group_count
+    check_group_rule(ctx.mset, ctx._groups, roles(ctx))
     # Two divide-and-extend stages each peel every group once: 38 digits
     # instead of 278 for a 2048-bit N on 30-bit words.
     digits = sum(
@@ -145,24 +167,33 @@ def test_narrow_words_peel_one_digit_per_group(bits, word_bits, count, group_cou
 
 @pytest.mark.parametrize("word_bits", [8, 16, 30, 62, 126, 254])
 def test_standalone_partitions_follow_the_group_rule(word_bits):
+    # A partition built on its own peels the channels of its set. Grouping
+    # a divisor role and the rest role gives a pass set on which a
+    # partition peels their groups; both give exact quotients and
+    # extensions.
     ctx = select_context((1 << 95) + 1, RangeCase.CASE2, word_bits)
     ms = ctx.mset
     n = len(ms.moduli)
     rng = random.Random(word_bits)
     for divisors in (ctx.g_indices, ctx.h_indices, tuple(range(0, n, 3))):
+        rest = tuple(i for i in range(n) if i not in divisors)
         part = ModuliPartition(ms, divisors)
-        rest = tuple(i for i in range(n) if i not in part.divisor_indices)
-        check_group_rule(
-            part,
-            [(part.divisor_indices, part.divide_rows.peel), (rest, part.divide_rows.rest)],
-        )
-        assert part.divide_rows.peel == part.extend_rows.rest
-        assert part.divide_rows.rest == part.extend_rows.peel
+        assert part.divide_rows.peel == part.extend_rows.rest == divisors
+        assert part.divide_rows.rest == part.extend_rows.peel == rest
+        pass_set, ids, _, groups = _group(ms, divisors, ())
+        rest_ids = tuple(j for j in range(len(pass_set.moduli)) if j not in ids)
+        check_group_rule(ms, groups, [(divisors, ids), (rest, rest_ids)])
+        grouped = ModuliPartition(pass_set, ids)
+        assert grouped.divide_rows.peel == grouped.extend_rows.rest == ids
+        assert grouped.divide_rows.rest == grouped.extend_rows.peel == rest_ids
         for value in (0, ms.product - 1, rng.randrange(ms.product)):
-            q = value // prod(ms.moduli[i] for i in part.divisor_indices)
+            q = value // prod(ms.moduli[i] for i in divisors)
             partial = quotient_by_moduli_product(encode(value, ms), part)
             assert partial.values == {i: q % ms.moduli[i] for i in rest}
             assert base_extend(partial) == encode(q, ms)
+            partial = quotient_by_moduli_product(encode(value, pass_set), grouped)
+            assert partial.values == {j: q % pass_set.moduli[j] for j in rest_ids}
+            assert base_extend(partial) == encode(q, pass_set)
 
 
 WORD30 = coprime_below((1 << 30) - 1, 40)
@@ -184,7 +215,7 @@ def case2_context(g_size: int):
 
 
 def overlapping_context():
-    # g's three channels are in h too, so each stage groups its own split.
+    # g's three channels are in h too: one group inside both g and h.
     g_moduli = WORD30[:3]
     modulus = prod(g_moduli) + 12345
     h_moduli = g_moduli + WORD30[3:4]
@@ -209,11 +240,11 @@ def unit_g_context():
 
 def narrow_g_context(bits: int, narrow_bits: int):
     # At 30-bit words the last g modulus is narrow; it is channel 0, so it
-    # starts the first group of g, which then holds 8 or 9 channels.
+    # starts a group of g, which then holds 8 or 9 channels.
     ctx = select_context(odd_modulus(bits), RangeCase.CASE2, 30)
     assert ctx.mset.moduli[0].bit_length() == narrow_bits
     assert ctx.g_indices[0] == 0
-    assert ctx._g_partition.groups.members[0][0] == 0
+    assert next(group for group in ctx._groups.members if 0 in group)[0] == 0
     return ctx
 
 
@@ -227,8 +258,8 @@ GROUPED["overlapping"] = overlapping_context()
 
 @pytest.mark.parametrize("ctx", GROUPED.values(), ids=GROUPED.keys())
 def test_grouped_passes_match_scalar_modmul_and_pow(ctx):
-    parts = [p for p in (ctx._g_partition, ctx._h_partition) if p is not None]
-    assert all(p.groups is not None for p in parts)
+    assert ctx._groups is not None
+    check_groups_respect_g_and_h(ctx)
     check_pass(ctx, operand_pairs(ctx, len(ctx.mset.moduli), 8))
     ms = ctx.mset
     n = ctx.params.modulus
@@ -243,8 +274,112 @@ def test_grouped_passes_match_scalar_modmul_and_pow(ctx):
 def test_group_boundaries_fall_at_every_position():
     last = set()
     for size in range(1, 10):
-        part = GROUPED[f"g{size}"]._g_partition
-        group = channels(part, part.divide_rows.peel[-1:])
-        last.add(len(group))
-        assert len(channels(part, part.divide_rows.peel)) == size
+        ctx = GROUPED[f"g{size}"]
+        cut = sorted(channels(ctx, (j,)) for j in ctx._g_partition.divisor_indices)
+        last.add(len(cut[-1]))
+        assert sum(map(len, cut)) == size
     assert last == set(range(1, 9))
+
+
+def test_grouped_bmm_combines_once_and_splits_once(monkeypatch):
+    calls = {"combine": 0, "split": 0}
+    for name in calls:
+        original = getattr(ChannelGroups, name)
+
+        def counted(self, values, name=name, original=original):
+            calls[name] += 1
+            return original(self, values)
+
+        monkeypatch.setattr(ChannelGroups, name, counted)
+    for ctx in GROUPED.values():
+        ms = ctx.mset
+        limit = ctx.params.input_limit
+        before = dict(calls)
+        c = bmm(encode(limit - 1, ms), encode(limit - 2, ms), ctx)
+        assert calls == {name: count + 1 for name, count in before.items()}
+        assert decode_crt(c) == modmul(limit - 1, limit - 2, ctx.params)
+
+
+def test_grouped_bmm_refuses_foreign_operands():
+    ctx = GROUPED["g3"]
+    foreign = make_moduli_set(coprime_below((1 << 29) - 1, len(ctx.mset.moduli)))
+    assert len(foreign.moduli) == len(ctx.mset.moduli)
+    a, b = encode(5, foreign), encode(7, ctx.mset)
+    for x, y in ((a, b), (b, a), (a, a)):
+        with pytest.raises(SetMismatch):
+            bmm(x, y, ctx)
+        with pytest.raises(SetMismatch):
+            trace_bmm(x, y, ctx)
+
+
+@pytest.mark.parametrize("word_bits", [8, 16, 30, 62, 126, 254])
+def test_mu_and_n_channel_views_are_their_encodings(word_bits):
+    # mu and N are stored once, on the pass set; their channel views are
+    # the encodings a context stored before grouping.
+    for bits in (96,) if word_bits == 8 else (96, 512):
+        for case in RangeCase:
+            ctx = select_context(odd_modulus(bits), case, word_bits)
+            assert ctx.mu_rv == encode(ctx.params.mu, ctx.mset)
+            assert ctx.n_rv == encode(ctx.params.modulus, ctx.mset)
+            assert ctx._mu == encode(ctx.params.mu, ctx._pass_set)
+            assert ctx._n == encode(ctx.params.modulus, ctx._pass_set)
+            assert word_bits < DEFAULT_WORD_BITS or ctx._groups is None
+
+
+def narrow_edge_context(word_bits: int, g_count: int, shared: int):
+    """Case 2 over ``word_bits``-bit moduli with g of ``g_count`` channels,
+    the last ``shared`` of them also in h (g = 1 when ``g_count`` is 0)."""
+    pool = coprime_below((1 << word_bits) - 1, 48)
+    g_moduli = pool[:g_count]
+    modulus = prod(pool[: max(g_count, 2)]) + 12345
+    rest = pool[g_count:]
+    h_moduli = g_moduli[g_count - shared:] if shared else []
+    while prod(g_moduli) * prod(h_moduli) < 9 * modulus**2:
+        h_moduli.append(rest.pop(0))
+    x_moduli = []
+    while 9 * prod(h_moduli) * modulus >= prod({*g_moduli, *h_moduli, *x_moduli}):
+        x_moduli.append(rest.pop(0))
+    ms = make_moduli_set(sorted({*g_moduli, *h_moduli, *x_moduli}))
+    where = {m: i for i, m in enumerate(ms.moduli)}
+    return make_context(
+        ms,
+        modulus,
+        sorted(where[m] for m in g_moduli),
+        sorted(where[m] for m in h_moduli),
+        RangeCase.CASE2,
+    )
+
+
+NARROW_EDGES = {
+    f"{word_bits}-{name}": narrow_edge_context(word_bits, g_count, shared)
+    for word_bits, g_count in ((8, 6), (16, 4), (30, 3), (62, 2))
+    for name, shared in (("g-in-h", g_count), ("g-half-in-h", g_count // 2))
+}
+NARROW_EDGES.update(
+    (f"{word_bits}-unit-g", narrow_edge_context(word_bits, 0, 0)) for word_bits in (8, 16, 30, 62)
+)
+
+
+@pytest.mark.parametrize("ctx", NARROW_EDGES.values(), ids=NARROW_EDGES.keys())
+def test_narrow_overlapping_and_unit_g_contexts(ctx):
+    g, h = set(ctx.g_indices), set(ctx.h_indices)
+    assert not g or g & h
+    assert ctx._groups is not None
+    check_groups_respect_g_and_h(ctx)
+    check_pass(ctx, operand_pairs(ctx, len(ctx.mset.moduli), 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    word_bits=st.integers(8, 126),
+    bits=st.integers(64, 1024),
+    case=st.sampled_from(list(RangeCase)),
+    seed=st.integers(0, 2**32),
+)
+def test_any_word_size_matches_modmul_and_the_reference(word_bits, bits, case, seed):
+    n = random.Random(seed).getrandbits(bits) | 1 << (bits - 1) | 1
+    try:
+        ctx = select_context(n, case, word_bits)
+    except SelectionFailed:
+        assume(False)
+    check_pass(ctx, operand_pairs(ctx, seed, 2))

@@ -25,7 +25,6 @@ from rnsbarrett import (
     modmul,
     quotient_by_moduli_product,
     select_context,
-    to_mixed_radix,
     trace_bmm,
 )
 
@@ -37,6 +36,7 @@ from helpers import (
     reference_quotient,
     remaining_indices,
     seeded_extend,
+    to_mixed_radix,
 )
 
 # Mersenne primes, every one but the first wider than 64 bits.

@@ -28,12 +28,12 @@ from rnsbarrett import (
     make_moduli_set,
     quotient_by_moduli_product,
     select_context,
-    to_mixed_radix,
     trace_bmm,
 )
-from rnsbarrett.rns import PeelRows, _garner
+from rnsbarrett.quotient import _group
+from rnsbarrett.rns import PeelRows
 
-from helpers import COPRIME_POOL, channels, coprime_below, table_moduli
+from helpers import COPRIME_POOL, coprime_below, garner, to_mixed_radix
 
 EX_SET = make_moduli_set([4, 5, 7, 11])
 WORD30_SET = make_moduli_set(
@@ -128,29 +128,32 @@ class TestModuliSet:
 
     def test_inverse_table(self):
         # Every partition's packed columns: lane j of column l is the product
-        # of the first l peeled moduli, reduced mod the j-th channel after
-        # peeled channel l (the later peeled channels in peel order, then the
-        # rest channels); each stored inverse times its prefix product is 1
-        # mod the channel. A channel here is a group of channels whose bit
-        # lengths add up to at most 254, peeled as one modulus, their
-        # product: the ex, word30, word62 and word64 sets group several
-        # channels per side, the wide set one or two.
+        # of the first l peeled moduli, reduced mod the j-th modulus after
+        # peeled modulus l (the later peeled moduli in peel order, then the
+        # rest moduli); each stored inverse times its prefix product is 1
+        # mod the modulus. Partitions peel the moduli of their set: the
+        # channels of the ex, word30, word62, word64 and wide sets, and the
+        # pass sets a context over each would run on, whose moduli are
+        # groups of channels with bit lengths adding up to at most 254.
         partitions = [ModuliPartition(EX_SET, sub) for sub in ((0,), (1, 3), (0, 1, 2))]
         for ms in (WORD30_SET, WORD62_SET, WORD64_SET):
             partitions += [ModuliPartition(ms, sub) for sub in ((2,), (0, 3), (1, 2, 4))]
         partitions += [ModuliPartition(WIDE_SET, sub) for sub in ((0,), (1, 3), (0, 1, 2))]
+        for ms in (EX_SET, WORD30_SET, WORD62_SET, WORD64_SET, WIDE_SET):
+            pass_set, g_ids, h_ids, groups = _group(ms, (0, 3), (1, 2))
+            assert groups is not None and len(pass_set.moduli) < len(ms.moduli)
+            partitions += [ModuliPartition(pass_set, g_ids), ModuliPartition(pass_set, h_ids)]
         for part in partitions:
-            moduli = table_moduli(part)
-            assert part.groups is not None
-            rest_channels = tuple(
-                i for i in range(len(part.mset.moduli)) if i not in part.divisor_indices
+            moduli = part.mset.moduli
+            rest_indices = tuple(
+                i for i in range(len(moduli)) if i not in part.divisor_indices
             )
             for rows, peel, rest in (
-                (part.divide_rows, part.divisor_indices, rest_channels),
-                (part.extend_rows, rest_channels, part.divisor_indices),
+                (part.divide_rows, part.divisor_indices, rest_indices),
+                (part.extend_rows, rest_indices, part.divisor_indices),
             ):
-                assert channels(part, rows.peel) == peel
-                assert channels(part, rows.rest) == rest
+                assert rows.peel == peel
+                assert rows.rest == rest
                 peeled = [moduli[k] for k in rows.peel]
                 rest = [moduli[i] for i in rows.rest]
                 count = len(peeled)
@@ -179,8 +182,8 @@ class TestModuliSet:
             WORD30_SET.moduli,
             WORD62_SET.moduli,
             WIDE_SET.moduli,
-            # Group products, which are not ascending.
-            ModuliPartition(WORD30_SET, (1, 3)).groups.moduli + WIDE_SET.moduli[1:3],
+            # Group products, then wider moduli: not ascending.
+            _group(WORD30_SET, (1, 3), ())[0].moduli + WIDE_SET.moduli[1:3],
         ],
         ids=["ex", "word30", "word62", "wide", "groups"],
     )
@@ -264,7 +267,7 @@ class TestEncodeDecode:
     def test_decode_matches_independent_crt(self, pair):
         ms, values = pair
         rv = ResidueVector(values, ms)
-        assert decode_crt(rv) == crt_reference(values, ms) == _garner(rv)[1]
+        assert decode_crt(rv) == crt_reference(values, ms) == garner(rv)[1]
 
     @pytest.mark.parametrize("ms", DECODE_SETS.values(), ids=DECODE_SETS.keys())
     def test_decode_edge_values(self, ms):

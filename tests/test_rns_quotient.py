@@ -16,10 +16,10 @@ from rnsbarrett import (
     make_moduli_set,
     quotient_by_moduli_product,
 )
+from rnsbarrett.quotient import _group
 
 from helpers import (
     COPRIME_POOL,
-    channels,
     divisor_product,
     peel_division,
     remaining_indices,
@@ -31,16 +31,18 @@ EX_SET = make_moduli_set([4, 5, 7, 11])
 class TestPartition:
     def test_products(self):
         part = ModuliPartition(EX_SET, (0, 1))
-        # The moduli are narrow: each side of the split is one group.
-        assert part.groups.members == ((0, 1), (2, 3))
+        # A partition peels the moduli of its own set. The moduli are
+        # narrow, so a pass with g and h these two sides would run on two
+        # groups; the grouping lives in the context's pass set.
+        assert _group(EX_SET, (0, 1), (2, 3))[3].members == ((0, 1), (2, 3))
         divide, extend = part.divide_rows, part.extend_rows
-        assert channels(part, divide.peel) == channels(part, extend.rest) == (0, 1)
-        assert channels(part, divide.rest) == channels(part, extend.peel) == (2, 3)
+        assert divide.peel == extend.rest == (0, 1)
+        assert divide.rest == extend.peel == (2, 3)
 
     def test_non_prefix_subset(self):
         part = ModuliPartition(EX_SET, (2, 0))
         assert part.divisor_indices == (0, 2)
-        assert channels(part, part.divide_rows.peel) == (0, 2)
+        assert part.divide_rows.peel == (0, 2)
 
     def test_rejects_bad_subsets(self):
         with pytest.raises(ValueError):

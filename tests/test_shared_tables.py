@@ -4,10 +4,10 @@ With x the channels in neither g nor h, a context with disjoint, nonempty
 g and h builds two tables: one peels g + x and extends to h, one peels
 h + x and extends to g. Each is one stage's extension, and its first
 columns, one per group of g (or h) and the same integer objects, are the
-other stage's divide rows. The tables peel groups of channels
-(``quotient.ChannelGroups``); every context here groups several narrow
-channels. The structural tests check that sharing against rows built on
-their own over the same groups; the edge shapes run whole passes against
+other stage's divide rows. The tables are over the context's pass set,
+whose moduli are groups of channels (``quotient.ChannelGroups``); every
+context here groups several narrow channels. The structural tests check
+that sharing against rows built on their own over the same pass set; the edge shapes run whole passes against
 scalar ``modmul`` and the one-modulus-at-a-time reference in ``helpers``.
 """
 
@@ -41,7 +41,6 @@ from helpers import (
     divisor_product,
     operand_pairs,
     remaining_indices,
-    table_moduli,
 )
 
 # Mersenne primes, every one but the first wider than 64 bits.
@@ -93,6 +92,11 @@ def stages(ctx):
     return [(g_part, h_part), (h_part, g_part)]
 
 
+def covered(ctx, ids) -> tuple[int, ...]:
+    """The channels of the pass-set indices ``ids``, ascending."""
+    return tuple(sorted(channels(ctx, ids)))
+
+
 def lanes(value: int, width: int, count: int) -> list[int]:
     """The low ``count`` lanes of a packed integer; nothing may sit above."""
     assert value >> (width * count) == 0
@@ -102,23 +106,25 @@ def lanes(value: int, width: int, count: int) -> list[int]:
 @pytest.mark.parametrize("ctx", SHARED.values(), ids=SHARED.keys())
 def test_divide_rows_are_a_prefix_of_the_other_extension(ctx):
     x = outside(ctx)
+    g_part, h_part = ctx._g_partition, ctx._h_partition
+    assert covered(ctx, g_part.divisor_indices) == ctx.g_indices
+    assert covered(ctx, h_part.divisor_indices) == ctx.h_indices
     for part, other in stages(ctx):
         head, table = part.divide_rows, other.extend_rows
-        assert part.groups is other.groups is not None
+        assert part.mset is other.mset is ctx._pass_set is not ctx.mset
         k = len(head.peel)
-        assert channels(part, head.peel) == part.divisor_indices
+        assert head.peel == part.divisor_indices
         assert head.peel == table.peel[:k]
-        assert channels(part, table.peel[k:]) == x
-        assert channels(part, table.rest) == other.divisor_indices
+        assert covered(ctx, table.peel[k:]) == x
+        assert table.rest == other.divisor_indices
         assert head.rest == table.peel[k:] + table.rest
-        assert channels(part, head.rest) == x + other.divisor_indices
+        assert covered(ctx, head.rest) == tuple(sorted(x + channels(ctx, other.divisor_indices)))
         assert len(head.columns) == k
         assert all(a is b for a, b in zip(head.columns, table.columns))
         assert head.width == table.width
         assert head.inverses[:k] == table.inverses[:k]
     # Two tables per context: every column object belongs to one of them,
     # one per group of g and of h and two per group of x.
-    g_part, h_part = ctx._g_partition, ctx._h_partition
     columns = {
         id(c)
         for part in (g_part, h_part)
@@ -133,7 +139,7 @@ def test_divide_rows_are_a_prefix_of_the_other_extension(ctx):
 @pytest.mark.parametrize("ctx", SHARED.values(), ids=SHARED.keys())
 def test_divide_rows_match_standalone_rows(ctx):
     for part, _ in stages(ctx):
-        moduli = table_moduli(part)
+        moduli = part.mset.moduli
         head = part.divide_rows
         alone = PeelRows(moduli, head.peel, sorted(head.rest))
         k = len(alone.peel)
@@ -153,22 +159,22 @@ def test_divide_rows_match_standalone_rows(ctx):
 
 @pytest.mark.parametrize("ctx", SHARED.values(), ids=SHARED.keys())
 def test_quotient_carries_the_extension_table(ctx):
-    ms = ctx.mset
-    x = encode(ms.product - 1, ms)
+    ms, pass_set = ctx.mset, ctx._pass_set
+    x = encode(pass_set.product - 1, pass_set)
     for part, _ in stages(ctx):
         head, table = part.divide_rows, part.extend_rows
-        moduli = table_moduli(part)
-        # The quotient holds its residues on the divide rows' rest channels,
-        # and hands on its residues on their groups with the extension rows.
+        moduli = pass_set.moduli
+        # The quotient holds its residues on the divide rows' rest groups
+        # and hands on the extension rows; split, they are the quotient's
+        # residues on those groups' channels.
         q = quotient_by_moduli_product(x, part)
-        assert list(q.values) == list(channels(part, head.rest))
+        assert list(q.values) == list(head.rest)
         quotient = (ms.product - 1) // divisor_product(part)
-        assert list(q.values.values()) == [
-            quotient % ms.moduli[i] for i in channels(part, head.rest)
-        ]
-        rows, groups, known = q._extend
-        assert rows is table and groups is part.groups
-        assert known == {j: quotient % moduli[j] for j in head.rest}
+        assert list(q.values.values()) == [quotient % moduli[j] for j in head.rest]
+        assert q._extend is table
+        assert ctx._groups.split_known(q).values == {
+            i: quotient % ms.moduli[i] for i in channels(ctx, head.rest)
+        }
 
 
 # Every stage partition of the shared, example4 and unit-g contexts.
@@ -189,7 +195,7 @@ def test_extension_ignores_the_quotients_key_order(part):
     for value in (ms.product - 1, rng.randrange(ms.product)):
         q = quotient_by_moduli_product(encode(value, ms), part)
         want = encode(value // divisor_product(part), ms)
-        rows, groups, known = q._extend
+        rows = q._extend
 
         def shuffled(items):
             items = list(items)
@@ -198,8 +204,7 @@ def test_extension_ignores_the_quotients_key_order(part):
 
         for order in (reversed, shuffled):
             values = dict(order(q.values.items()))
-            by_group = values if groups is None else dict(order(known.items()))
-            reordered = PartialResidueVector._reduced(values, ms, (rows, groups, by_group))
+            reordered = PartialResidueVector._reduced(values, ms, rows)
             assert base_extend(reordered) == want
 
 
@@ -235,12 +240,12 @@ def test_lane_crossing_context_widens_shared_lanes():
     ms = ctx.mset
     part = ctx._g_partition
     assert len(ctx.g_indices) == 4 and len(outside(ctx)) >= 1
-    assert part.groups.members[0] == ctx.g_indices
+    assert channels(ctx, part.divisor_indices) == ctx.g_indices
     assert ms.moduli[-1] < 1 << 61
-    assert max(part.groups.moduli).bit_length() == 244
+    assert max(ctx._pass_set.moduli).bit_length() == 244
     assert part.divide_rows.width == 496
     rest = sorted(part.divide_rows.rest)
-    assert PeelRows(table_moduli(part), part.divide_rows.peel, rest).width == 488
+    assert PeelRows(part.mset.moduli, part.divide_rows.peel, rest).width == 488
 
 
 def test_no_channel_outside_g_and_h():
@@ -252,12 +257,10 @@ def test_no_channel_outside_g_and_h():
     modulus, g_indices, h_indices = 1000, (0, 1), (2, 3, 4, 5)
     params = make_params(modulus, 7 * 11, 13 * 17 * 19 * 23, RangeCase.CASE1)
     assert not capacity_condition(modulus, params.h, ms.product, params.case).holds
-    ctx = RnsBarrettContext(
-        ms, params, g_indices, h_indices, encode(params.mu, ms), encode(modulus, ms)
-    )
+    ctx = RnsBarrettContext(ms, params, g_indices, h_indices)
     assert outside(ctx) == ()
     assert ctx._h_partition.extend_rows.columns == ctx._g_partition.divide_rows.columns
-    assert channels(ctx._g_partition, ctx._g_partition.divide_rows.rest) == h_indices
+    assert channels(ctx, ctx._g_partition.divide_rows.rest) == h_indices
     limit = isqrt(params.g * modulus)
     rng = random.Random(6)
     pairs = [(limit - 1, limit - 1), (0, 0)]
@@ -268,16 +271,19 @@ def test_no_channel_outside_g_and_h():
 def test_overlapping_and_unit_g_contexts_build_their_own_tables():
     assert set(EXAMPLE4.g_indices) & set(EXAMPLE4.h_indices)
     assert UNIT_G._g_partition is None
+    # example4's channels are one per group; unit-g's h is one group.
+    assert EXAMPLE4._groups is None and EXAMPLE4._pass_set is EXAMPLE4.mset
+    assert UNIT_G._groups.members == ((5,), (0, 1, 2, 3, 4))
     for ctx in (EXAMPLE4, UNIT_G):
-        ms = ctx.mset
         for part in (ctx._g_partition, ctx._h_partition):
             if part is None:
                 continue
-            # Each partition groups its own divisor and surviving channels.
-            moduli = table_moduli(part)
+            # Each partition builds its own tables over the pass set.
+            assert part.mset is ctx._pass_set
+            moduli = part.mset.moduli
             divisors, remaining = part.divide_rows.peel, part.divide_rows.rest
-            assert channels(part, divisors) == part.divisor_indices
-            assert channels(part, remaining) == remaining_indices(part)
+            assert divisors == part.divisor_indices
+            assert remaining == remaining_indices(part)
             for rows, alone in (
                 (part.divide_rows, PeelRows(moduli, divisors, remaining)),
                 (part.extend_rows, PeelRows(moduli, remaining, divisors)),

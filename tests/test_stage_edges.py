@@ -39,7 +39,6 @@ from helpers import (
     peel_division,
     reference_peel,
     remaining_indices,
-    table_moduli,
 )
 
 EX_SET = make_moduli_set([4, 5, 7, 11])
@@ -162,10 +161,16 @@ def lanes(value: int, width: int, count: int) -> list[int]:
 
 def test_moduli_wider_than_64_bits():
     ctx = make_context(WIDE_SET, (1 << 100) + 277, (0,), (2, 3), RangeCase.CASE2)
-    for part in (ModuliPartition(WIDE_SET, (0,)), ModuliPartition(WIDE_SET, (2, 3))):
-        # Groups hold up to 254 bits: 89 + 107 in the first partition's
-        # rest, 107 + 127 in the second one's divisors.
-        moduli = table_moduli(part)
+    # Groups hold up to 254 bits: the pass set takes h's 107 + 127 bits as
+    # one modulus. Partitions built on their own peel the channels.
+    assert [m.bit_length() for m in ctx._pass_set.moduli] == [61, 89, 234]
+    for part in (
+        ModuliPartition(WIDE_SET, (0,)),
+        ModuliPartition(WIDE_SET, (2, 3)),
+        ctx._g_partition,
+        ctx._h_partition,
+    ):
+        moduli = part.mset.moduli
         for rows in (part.divide_rows, part.extend_rows):
             assert type(rows.inverses) is tuple
             peeled = [moduli[k] for k in rows.peel]
@@ -222,11 +227,10 @@ def peel_sets(n: int):
 
 
 def group_moduli(word_bits: int, bits: int) -> tuple:
-    """The group moduli a selected context's tables index, in table order."""
+    """The group moduli of a selected context's pass set."""
     ctx = select_context((1 << (bits - 1)) + 95, RangeCase.CASE2, word_bits)
-    groups = ctx._h_partition.groups
-    assert max(map(len, groups.members)) > 1
-    return groups.moduli
+    assert max(map(len, ctx._groups.members)) > 1
+    return ctx._pass_set.moduli
 
 
 # Channel moduli, then group products: at 8-bit words each role is one group
