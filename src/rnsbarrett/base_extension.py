@@ -30,7 +30,7 @@ digit. With n-k known moduli out of n that is n-k multiply-adds, on
 integers shrinking from n-1 lanes to k. Each residue is then written at its
 channel index. Together with its quotient, a stage costs n packed
 multiply-adds and one small step per modulus. A context's pass hands this
-stage vectors over its pass set (``quotient.ChannelGroups``), so at narrow
+stage vectors over its pass set (``rns.ChannelGroups``), so at narrow
 word sizes a modulus is a group of channels and n counts groups.
 """
 

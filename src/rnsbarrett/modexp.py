@@ -26,7 +26,7 @@ from operator import index
 from .barrett import final_correct
 from .errors import CaseMismatch, InputOutOfRange, int_text
 from .rns import ResidueVector, decode_crt, encode
-from .rns_barrett import RnsBarrettContext, bmm
+from .rns_barrett import RnsBarrettContext, _check_operands, bmm
 
 MAX_WIDTH = 6
 
@@ -78,7 +78,8 @@ def bmm_modexp(
     ``check_intermediates`` decodes every table entry and every chain value
     and raises AssertionError if one leaves the closed range; it exists for
     tests and costs one decode per multiply. Raises TypeError for a
-    non-integer exponent.
+    non-integer exponent or a base that is not a ResidueVector, and
+    SetMismatch for a base on another moduli set, whatever the exponent.
     """
     exponent = index(exponent)
     case = ctx.params.case
@@ -88,6 +89,7 @@ def bmm_modexp(
         )
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
+    _check_operands(ctx, x)
     limit = ctx.params.input_limit
     if decode_crt(x) >= limit:
         raise InputOutOfRange(f"decoded base not below {int_text(limit)}")

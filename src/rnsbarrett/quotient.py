@@ -16,14 +16,15 @@ surviving moduli.
 
 A digit costs about the same at any modulus width, and neither the
 quotient nor base extension depends on how a product is factored. So a
-context whose narrow channels fall into groups (``ChannelGroups``, the
-rule in ``_group``) runs its whole pass on the group moduli, its pass
-set: ``rns_barrett`` combines the channel product into group residues once
-on entry and splits the result into channels once on exit, and the stages
-here see only the pass set. At the default word size every group is one
-channel and the pass set is the context's own; at 30-bit words a 2048-bit
-pass peels 38 digits instead of 278. A ``ModuliPartition`` built on its
-own peels the moduli of its set, one channel per digit.
+context whose narrow channels fall into groups (``rns.ChannelGroups``, by
+the rule in ``_group``, the package's only one) runs its whole pass on the
+group moduli, its pass set: ``rns_barrett`` combines the channel product
+into group residues once on entry and splits the result into channels once
+on exit, and the stages here see only the pass set. At the default word
+size every group is one channel and the pass set is the context's own; at
+30-bit words a 2048-bit pass peels 38 digits instead of 278. A
+``ModuliPartition`` built on its own peels the moduli of its set, one
+channel per digit.
 
 A stage is one pass over plain sequences: the peel indexes the dividend's
 residues directly, and the result carries the partition's extension rows,
@@ -35,12 +36,10 @@ shares two tables between its stages, not four.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from math import prod
-from operator import itemgetter, mod, mul
 
 from .errors import SetMismatch
 from .rns import (
+    ChannelGroups,
     ModuliSet,
     PartialResidueVector,
     PeelRows,
@@ -51,69 +50,6 @@ from .rns import (
 # The default word size of ``selection``, and the most bits of moduli a
 # group holds, so at the default every group is one channel.
 DEFAULT_WORD_BITS = 254
-
-
-class ChannelGroups:
-    """A moduli set's channels taken as groups, and the two residue forms.
-
-    ``channels`` is the channel set and ``pass_set`` the set of the group
-    moduli, each the product of its members' moduli; ``members`` holds each
-    group's channel indices, in the order of ``pass_set.moduli``.
-    ``combine`` turns channel residues into a pass-set vector by the
-    remainder theorem, with one weight per channel computed here;
-    ``split`` and ``split_known`` turn pass-set vectors back into channel
-    ones. Instances are immutable in use and safe to share between threads.
-    """
-
-    __slots__ = ("channels", "pass_set", "members", "_get", "_weights", "_sizes", "_owner")
-
-    def __init__(self, channels: ModuliSet, members):
-        moduli = channels.moduli
-        by_modulus = sorted((prod(moduli[i] for i in group), tuple(group)) for group in members)
-        self.channels = channels
-        # Products of disjoint sets of coprime moduli are coprime.
-        self.pass_set = ModuliSet._coprime(tuple(p for p, _ in by_modulus), channels.product)
-        self.members = tuple(group for _, group in by_modulus)
-        self._get = itemgetter(*chain.from_iterable(self.members))
-        # Mod P, a value is sum v_i * w_i over its residues v_i mod the
-        # members m_i, with w_i = c_i * (c_i^-1 mod m_i) and c_i = P / m_i:
-        # 1 for a group of one channel.
-        self._weights = tuple(
-            p // m * pow(p // m, -1, m)
-            for group, p in zip(self.members, self.pass_set.moduli)
-            for m in map(moduli.__getitem__, group)
-        )
-        self._sizes = tuple(map(len, self.members))
-        owner = [0] * len(moduli)
-        for j, group in enumerate(self.members):
-            for i in group:
-                owner[i] = j
-        self._owner = itemgetter(*owner)
-
-    def combine(self, values) -> ResidueVector:
-        """The pass-set vector of ``values``, indexed by channel, each any
-        integer congruent to its channel's residue."""
-        terms = map(mul, self._get(values), self._weights)
-        pass_set = self.pass_set
-        return ResidueVector._reduced(
-            tuple(sum(islice(terms, size)) % p for size, p in zip(self._sizes, pass_set.moduli)),
-            pass_set,
-        )
-
-    def split(self, rv: ResidueVector) -> ResidueVector:
-        """The channel vector of the pass-set vector ``rv``."""
-        channels = self.channels
-        return ResidueVector._reduced(
-            tuple(map(mod, self._owner(rv.values), channels.moduli)), channels
-        )
-
-    def split_known(self, prv: PartialResidueVector) -> PartialResidueVector:
-        """The channel residues of every member of the groups ``prv`` knows."""
-        channels, members = self.channels, self.members
-        moduli = channels.moduli
-        return PartialResidueVector._reduced(
-            {i: r % moduli[i] for j, r in prv.values.items() for i in members[j]}, channels
-        )
 
 
 def _group(mset: ModuliSet, g_indices, h_indices):

@@ -5,20 +5,19 @@ coprime moduli whose product is M. Addition, subtraction and multiplication
 then act channel by channel with no carries between channels. Decoding back
 to an ordinary integer sums the remainder theorem's terms with one weight
 below its modulus per channel, which each moduli set computes on its first
-decode and keeps. Encoding an operand of more than 1024 bits reduces it
-once per run of consecutive moduli, a product of at most 512 bits, instead
-of once per modulus; each set groups its runs on its first such encode
-and keeps them.
+decode and keeps. Narrow channels can be taken in groups, each with the
+product of its members as modulus (``ChannelGroups``); a set's groups,
+once a context registers them, also serve its wide encodes.
 
-Moduli are validated only as being at least 2; ``select_context`` picks
+Moduli must be at least 2 and pairwise coprime; ``select_context`` picks
 them just below a power of two, 2**254 by default. Moduli, the product M
 and any decoded integer are ordinary Python integers of arbitrary size.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
+from itertools import chain, combinations, islice, repeat
 from math import gcd, lcm, prod
-from operator import index, mod, mul, sub
+from operator import index, itemgetter, mod, mul, sub
 
 from .errors import (
     DuplicateOrNonCoprime,
@@ -29,13 +28,10 @@ from .errors import (
     int_text,
 )
 
-# A run of moduli has a product of at most this many bits. Operands below
-# _WIDE are encoded one modulus at a time: runs measured slower there.
-_RUN_BITS = 512
-_WIDE = 1 << 2 * _RUN_BITS
-# A set gets runs only if they average at least this many moduli: runs of
-# two 254-bit moduli measured slower than one reduction per modulus.
-_MIN_RUN_MODULI = 3
+# Operands below _WIDE are encoded one channel at a time even on a set
+# with groups: reducing by the group moduli first only breaks even near
+# 512 bits, and is slower below.
+_WIDE = 1 << 1024
 
 
 class ModuliSet:
@@ -46,14 +42,15 @@ class ModuliSet:
     in ``PeelRows``, which each context or ``ModuliPartition`` builds once
     and ad-hoc ``base_extend`` calls build per call.
 
-    Two slots start empty and are filled on first use: ``_crt_weights`` by
-    the first ``decode_crt`` of the set, ``_runs`` by its first ``encode``
-    of an operand of at least ``_WIDE``; nothing else changes after
-    construction. Instances are safe to share between threads: two threads
-    that fill a slot at once compute equal tuples, and either one is kept.
+    Two slots start empty and are filled later: ``_crt_weights`` by the
+    first ``decode_crt`` of the set, ``_groups`` by the first context built
+    on it whose channels fall into groups; nothing else changes after
+    construction. Instances are safe to share between threads: two
+    threads that fill a slot at once leave either value, and any grouping
+    of a set gives the same residues.
     """
 
-    __slots__ = ("moduli", "product", "_crt_weights", "_runs")
+    __slots__ = ("moduli", "product", "_crt_weights", "_groups")
 
     def __init__(self, moduli):
         if not moduli:
@@ -74,13 +71,13 @@ class ModuliSet:
         self.moduli = ordered
         self.product = product
         self._crt_weights = None
-        self._runs = None
+        self._groups = None
 
     @classmethod
     def _coprime(cls, ordered: tuple[int, ...], product: int) -> "ModuliSet":
         """Ascending, pairwise coprime moduli and their product; skips validation."""
         ms = object.__new__(cls)
-        ms.moduli, ms.product, ms._crt_weights, ms._runs = ordered, product, None, None
+        ms.moduli, ms.product, ms._crt_weights, ms._groups = ordered, product, None, None
         return ms
 
     def __len__(self) -> int:
@@ -191,28 +188,68 @@ class PartialResidueVector:
         return prv
 
 
-def _runs(moduli) -> tuple[tuple[int, int], ...]:
-    """Consecutive ``moduli`` grouped greedily into runs.
+class ChannelGroups:
+    """A moduli set's channels taken as groups, and the two residue forms.
 
-    Each run is its product and the index one past its last modulus. A run
-    grows while the bit lengths of its moduli sum to at most ``_RUN_BITS``,
-    so its product stays below 2**_RUN_BITS; a wider modulus is a run of its
-    own. A set that averages fewer than ``_MIN_RUN_MODULI`` moduli per run
-    gets no runs, the empty tuple, and no products are computed for it.
+    ``channels`` is the channel set and ``pass_set`` the set of the group
+    moduli, each the product of its members' moduli; ``members`` holds each
+    group's channel indices, in the order of ``pass_set.moduli``.
+    ``combine`` turns channel residues into a pass-set vector by the
+    remainder theorem, with one weight per channel computed here;
+    ``split`` and ``split_known`` turn pass-set vectors back into channel
+    ones. Which channels form a group is ``quotient._group``'s rule.
+    Instances are immutable in use and safe to share between threads.
     """
-    ends, width = [], 0
-    for end, m in enumerate(moduli):
-        bits = m.bit_length()
-        if width and width + bits > _RUN_BITS:
-            ends.append(end)
-            width = 0
-        width += bits
-    ends.append(len(moduli))
-    if len(moduli) < _MIN_RUN_MODULI * len(ends):
-        return ()
-    return tuple(
-        (prod(moduli[start:end]), end) for start, end in zip([0, *ends], ends)
-    )
+
+    __slots__ = ("channels", "pass_set", "members", "_get", "_weights", "_sizes", "_owner")
+
+    def __init__(self, channels: ModuliSet, members):
+        moduli = channels.moduli
+        by_modulus = sorted((prod(moduli[i] for i in group), tuple(group)) for group in members)
+        self.channels = channels
+        # Products of disjoint sets of coprime moduli are coprime.
+        self.pass_set = ModuliSet._coprime(tuple(p for p, _ in by_modulus), channels.product)
+        self.members = tuple(group for _, group in by_modulus)
+        self._get = itemgetter(*chain.from_iterable(self.members))
+        # Mod P, a value is sum v_i * w_i over its residues v_i mod the
+        # members m_i, with w_i = c_i * (c_i^-1 mod m_i) and c_i = P / m_i:
+        # 1 for a group of one channel.
+        self._weights = tuple(
+            p // m * pow(p // m, -1, m)
+            for group, p in zip(self.members, self.pass_set.moduli)
+            for m in map(moduli.__getitem__, group)
+        )
+        self._sizes = tuple(map(len, self.members))
+        owner = [0] * len(moduli)
+        for j, group in enumerate(self.members):
+            for i in group:
+                owner[i] = j
+        self._owner = itemgetter(*owner)
+
+    def combine(self, values) -> ResidueVector:
+        """The pass-set vector of ``values``, indexed by channel, each any
+        integer congruent to its channel's residue."""
+        terms = map(mul, self._get(values), self._weights)
+        pass_set = self.pass_set
+        return ResidueVector._reduced(
+            tuple(sum(islice(terms, size)) % p for size, p in zip(self._sizes, pass_set.moduli)),
+            pass_set,
+        )
+
+    def split(self, rv: ResidueVector) -> ResidueVector:
+        """The channel vector of the pass-set vector ``rv``."""
+        channels = self.channels
+        return ResidueVector._reduced(
+            tuple(map(mod, self._owner(rv.values), channels.moduli)), channels
+        )
+
+    def split_known(self, prv: PartialResidueVector) -> PartialResidueVector:
+        """The channel residues of every member of the groups ``prv`` knows."""
+        channels, members = self.channels, self.members
+        moduli = channels.moduli
+        return PartialResidueVector._reduced(
+            {i: r % moduli[i] for j, r in prv.values.items() for i in members[j]}, channels
+        )
 
 
 def encode(x: int, ms: ModuliSet) -> ResidueVector:
@@ -220,30 +257,20 @@ def encode(x: int, ms: ModuliSet) -> ResidueVector:
 
     Reducing x by each modulus walks every word of x once per channel:
     139 channels times 69 30-bit words for a 2048-bit x on 30-bit moduli.
-    An x of at least ``_WIDE`` (2**1024) is instead reduced once per run
-    of moduli (``_runs``), and each channel of a run takes its residue from
-    that remainder of at most ``_RUN_BITS`` bits; at that shape this takes
-    about 0.6 of the time. The runs are built on the set's first wide
-    encode. A set whose moduli are too wide to average ``_MIN_RUN_MODULI``
-    per run, such as 254-bit ones, gets none and keeps one reduction per
-    channel, as narrower x do. Raises TypeError for a non-integer x.
+    On a set whose channels a context has grouped (``ModuliSet._groups``),
+    an x of at least ``_WIDE`` (2**1024) is instead reduced once per group
+    modulus and split into channels, as a grouped pass ends: 19 reductions
+    of x at that shape, then 139 of remainders of at most 254 bits. Every
+    other encode, including all at the default word size, takes one
+    reduction per channel. Raises TypeError for a non-integer x.
     """
     x = index(x)
     if x < 0 or x >= ms.product:
         raise OutOfRange(f"{int_text(x)} is not in [0, {int_text(ms.product)})")
-    moduli = ms.moduli
-    runs = ()
-    if x >= _WIDE:
-        runs = ms._runs
-        if runs is None:
-            runs = ms._runs = _runs(moduli)
-    if not runs:
-        return ResidueVector._reduced(tuple(map(mod, repeat(x), moduli)), ms)
-    values, start = [], 0
-    for product, end in runs:
-        values += map(mod, repeat(x % product), moduli[start:end])
-        start = end
-    return ResidueVector._reduced(tuple(values), ms)
+    groups = ms._groups
+    if groups is not None and x >= _WIDE:
+        return groups.split(encode(x, groups.pass_set))
+    return ResidueVector._reduced(tuple(map(mod, repeat(x), ms.moduli)), ms)
 
 
 def decode_crt(rv: ResidueVector) -> int:
@@ -277,7 +304,7 @@ class PeelRows:
 
     ``moduli`` is what the channel indices index, a set's moduli: the
     channels', or a context's pass set of group products
-    (``quotient.ChannelGroups``). Peeling the moduli p_0, p_1,
+    (``ChannelGroups``). Peeling the moduli p_0, p_1,
     ... (the moduli at ``peel``, in that order) pulls off the mixed-radix
     digits d_0, d_1, ... of the encoded integer x, with place values
     P_0 = 1, P_1 = p_0, P_2 = p_0 * p_1, and so on. Digit j and the residue

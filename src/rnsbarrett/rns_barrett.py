@@ -22,9 +22,9 @@ from operator import mul
 from .barrett import BarrettParams, RangeCase, capacity_condition, make_params
 from .base_extension import base_extend
 from .errors import SetMismatch
-from .quotient import ChannelGroups, ModuliPartition, _group, _sorted_indices
+from .quotient import ModuliPartition, _group, _sorted_indices
 from .quotient import _stage_partitions, quotient_by_moduli_product
-from .rns import ModuliSet, PartialResidueVector, ResidueVector, encode
+from .rns import ChannelGroups, ModuliSet, PartialResidueVector, ResidueVector, encode
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -39,12 +39,13 @@ class RnsBarrettContext:
 
     The pass runs on ``_pass_set``: the group moduli of ``_groups`` (see
     ``quotient._group``) when narrow channels fall into groups, otherwise
-    ``mset`` itself, with ``_groups`` None. mu and N are stored once, on the
-    pass set; ``mu_rv`` and ``n_rv`` compute their channel residues. The
-    stages' partitions and the peel tables they share come from
-    ``quotient._stage_partitions``: two tables when g is nonempty and
-    disjoint from h, which is every context ``select_context`` builds, and
-    two per partition otherwise.
+    ``mset`` itself, with ``_groups`` None; the first context with groups
+    built on a set registers them there too, for wide encodes. mu and N
+    are stored once, on the pass set; ``mu_rv`` and ``n_rv`` compute their
+    channel residues. The stages' partitions and the peel tables they
+    share come from ``quotient._stage_partitions``: two tables when g is
+    nonempty and disjoint from h, which is every context
+    ``select_context`` builds, and two per partition otherwise.
     """
 
     mset: ModuliSet
@@ -62,6 +63,8 @@ class RnsBarrettContext:
         pass_set, g_ids, h_ids, self._groups = _group(
             self.mset, self.g_indices, self.h_indices
         )
+        if self._groups is not None and self.mset._groups is None:
+            self.mset._groups = self._groups
         self._pass_set = pass_set
         self._g_partition, self._h_partition = _stage_partitions(pass_set, g_ids, h_ids)
         self._mu = encode(self.params.mu, pass_set)
@@ -115,15 +118,22 @@ def make_context(
     return RnsBarrettContext(mset=ms, params=params, g_indices=g_idx, h_indices=h_idx)
 
 
+def _check_operands(ctx: RnsBarrettContext, *operands) -> None:
+    """TypeError unless each is a ResidueVector, SetMismatch unless on ctx's set."""
+    for v in operands:
+        if not isinstance(v, ResidueVector):
+            raise TypeError(f"operands must be ResidueVectors, not {type(v).__name__}")
+        if v.mset is not ctx.mset and v.mset != ctx.mset:
+            raise SetMismatch("operands do not belong to the context's moduli set")
+
+
 def _multiply_reduce(a: ResidueVector, b: ResidueVector, ctx: RnsBarrettContext):
     """One pass on the pass set; StepTrace's fields in order, d_partial None if g = 1.
 
     With groups, the channel products a_i * b_i combine into the pass set's
     x once; every later vector is on the pass set.
     """
-    mset = ctx.mset
-    if (a.mset is not mset and a.mset != mset) or (b.mset is not mset and b.mset != mset):
-        raise SetMismatch("operands do not belong to the context's moduli set")
+    _check_operands(ctx, a, b)
     groups = ctx._groups
     x = a * b if groups is None else groups.combine(list(map(mul, a.values, b.values)))
     if ctx._g_partition is None:

@@ -14,7 +14,7 @@ groups anything.
 
 import random
 from itertools import chain
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +24,7 @@ from rnsbarrett import (
     ModuliPartition,
     PartialResidueVector,
     RangeCase,
+    ResidueVector,
     SelectionFailed,
     SetMismatch,
     base_extend,
@@ -39,8 +40,8 @@ from rnsbarrett import (
     select_context,
     trace_bmm,
 )
-from rnsbarrett.quotient import DEFAULT_WORD_BITS, ChannelGroups, _group
-from rnsbarrett.rns import PeelRows
+from rnsbarrett.quotient import DEFAULT_WORD_BITS, _group
+from rnsbarrett.rns import ChannelGroups, PeelRows
 
 from helpers import build, channels, check_pass, coprime_below, operand_pairs
 
@@ -294,8 +295,11 @@ def test_grouped_bmm_combines_once_and_splits_once(monkeypatch):
     for ctx in GROUPED.values():
         ms = ctx.mset
         limit = ctx.params.input_limit
+        # A wide operand splits through the set's groups when it is encoded,
+        # so both are encoded outside the counted window.
+        a, b = encode(limit - 1, ms), encode(limit - 2, ms)
         before = dict(calls)
-        c = bmm(encode(limit - 1, ms), encode(limit - 2, ms), ctx)
+        c = bmm(a, b, ctx)
         assert calls == {name: count + 1 for name, count in before.items()}
         assert decode_crt(c) == modmul(limit - 1, limit - 2, ctx.params)
 
@@ -310,6 +314,22 @@ def test_grouped_bmm_refuses_foreign_operands():
             bmm(x, y, ctx)
         with pytest.raises(SetMismatch):
             trace_bmm(x, y, ctx)
+
+
+@pytest.mark.parametrize("word_bits", [30, 254])
+def test_bmm_refuses_a_partial_operand(word_bits):
+    # A partial vector that knows every channel is still not an operand:
+    # at every word size both passes raise TypeError, never a wrong C.
+    ctx = select_context(odd_modulus(256), RangeCase.CASE2, word_bits)
+    ms = ctx.mset
+    assert (ctx._groups is None) == (word_bits == DEFAULT_WORD_BITS)
+    partial = PartialResidueVector(dict(enumerate(encode(12345, ms).values)), ms)
+    whole = encode(678, ms)
+    for a, b in ((partial, whole), (whole, partial)):
+        for run in (bmm, trace_bmm):
+            with pytest.raises(TypeError):
+                run(a, b, ctx)
+    assert decode_crt(bmm(encode(12345, ms), whole, ctx)) == 12345 * 678
 
 
 @pytest.mark.parametrize("word_bits", [8, 16, 30, 62, 126, 254])
@@ -383,3 +403,46 @@ def test_any_word_size_matches_modmul_and_the_reference(word_bits, bits, case, s
     except SelectionFailed:
         assume(False)
     check_pass(ctx, operand_pairs(ctx, seed, 2))
+
+
+@st.composite
+def grouped_sets(draw):
+    """Coprime moduli of 8 to 126 bits and any partition of them into groups."""
+    moduli, product = [], 1
+    for bits in draw(st.lists(st.integers(8, 126), min_size=2, max_size=12)):
+        m = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        while gcd(m, product) != 1:
+            m -= 1
+        moduli.append(m)
+        product *= m
+    ms = make_moduli_set(moduli)
+    order = draw(st.permutations(range(len(moduli))))
+    cuts = draw(st.lists(st.booleans(), min_size=len(moduli) - 1, max_size=len(moduli) - 1))
+    members = [[order[0]]]
+    for i, cut in zip(order[1:], cuts):
+        if cut:
+            members.append([])
+        members[-1].append(i)
+    return ChannelGroups(ms, members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(groups=grouped_sets(), data=st.data())
+def test_channel_groups_round_trip_any_partition(groups, data):
+    ms, pass_set = groups.channels, groups.pass_set
+    assert pass_set.product == ms.product and pass_set._groups is None
+    assert sorted(chain.from_iterable(groups.members)) == list(range(len(ms)))
+    x = data.draw(st.integers(0, ms.product - 1))
+    rv = encode(x, ms)
+    grouped = groups.combine(rv.values)
+    assert groups.split(grouped) == rv
+    assert grouped == encode(decode_crt(rv), pass_set) == encode(x, pass_set)
+    # combine takes any integers congruent to the residues.
+    lifted = [v + k * m for v, m, k in zip(rv.values, ms.moduli, range(len(ms)))]
+    assert groups.combine(lifted) == grouped
+    assert groups.split(ResidueVector(grouped.values, pass_set)) == rv
+    known = data.draw(st.sets(st.sampled_from(range(len(pass_set))), min_size=1))
+    partial = PartialResidueVector({j: grouped.values[j] for j in known}, pass_set)
+    split = groups.split_known(partial)
+    assert split.mset is ms
+    assert split.values == {i: rv.values[i] for j in known for i in groups.members[j]}

@@ -1,4 +1,12 @@
-"""Encoding: run-by-run reduction of wide operands, and integer-only input."""
+"""Encoding: wide operands through a context's channel groups, and integer-only input.
+
+A context whose narrow channels fall into groups registers its
+``ChannelGroups`` on its channel set, and an operand of at least
+``_WIDE`` (2**1024) on that set is reduced once per group modulus, a run
+of channels of one role, then split into channels. Every encode is
+compared with one reduction per modulus, on registered sets, on sets no
+context has seen, and on pass sets.
+"""
 
 import random
 import sys
@@ -10,36 +18,43 @@ import pytest
 
 from rnsbarrett import (
     EmptyKnownSet,
+    ModuliSet,
     OutOfRange,
     PartialResidueVector,
     RangeCase,
     ResidueVector,
     decode_crt,
     encode,
+    make_context,
     make_moduli_set,
     select_context,
 )
-from rnsbarrett.rns import _RUN_BITS, _WIDE, _runs
+from rnsbarrett.rns import _WIDE, ChannelGroups
 
 from helpers import coprime_below
 
 EX_SET = make_moduli_set([3, 5, 7])
 
 
+def _odd(bits: int) -> int:
+    return random.Random(bits).getrandbits(bits) | 1 << (bits - 1) | 1
+
+
 def _selected(bits: int, word_bits: int):
-    n = random.Random(bits).getrandbits(bits) | 1 << (bits - 1) | 1
-    return select_context(n, RangeCase.CASE2, word_bits).mset
+    return select_context(_odd(bits), RangeCase.CASE2, word_bits).mset
 
 
 # Sets that select_context builds, at every word size that reaches the
-# modulus within its budget. Word size 4 reaches no 256-bit modulus, and 16
-# no 4096-bit one.
-SETS = {
-    f"{bits}-{word_bits}": _selected(bits, word_bits)
+# modulus within its budget; below 254-bit words each is registered with
+# its context's groups. Word size 4 reaches no 256-bit modulus, and 16 no
+# 4096-bit one.
+WORD_BITS = {
+    f"{bits}-{word_bits}": (bits, word_bits)
     for word_bits in (16, 30, 62, 126, 254, 1024)
     for bits in (256, 1024, 2048, 4096)
     if (word_bits, bits) != (16, 4096)
 }
+SETS = {name: _selected(*shape) for name, shape in WORD_BITS.items()}
 SETS["4-bit"] = make_moduli_set([11, 13, 14, 15])
 
 
@@ -50,123 +65,172 @@ def _thirty_bit_moduli_and(extra, count):
     return make_moduli_set([*extra, *thirty])
 
 
-# 4-bit moduli inside a run of 30-bit ones.
+# Sets no context has seen: 4-bit moduli among 30-bit ones, moduli just
+# below 2**128, and two moduli wider than 512 bits after 30-bit ones.
 SETS["4-and-30-bit"] = _thirty_bit_moduli_and([11, 13, 14, 15], 60)
-# Moduli just below 2**128: every run is four of them, a product of exactly
-# 512 bits, and a fifth modulus would take it past the bound.
 SETS["512-bit-runs"] = make_moduli_set(coprime_below((1 << 128) - 1, 24))
-# Moduli wider than a run, each a run of its own, after 30-bit runs.
-SETS["wide-tail"] = _thirty_bit_moduli_and([1 << _RUN_BITS, (1 << 521) - 1], 50)
+SETS["wide-tail"] = _thirty_bit_moduli_and([1 << 512, (1 << 521) - 1], 50)
 
 
 def _probes(ms, rng):
-    """Values below M around every edge the runs have."""
+    """Values below M on both sides of ``_WIDE``, and around each group
+    modulus and each prefix product of them if ``ms`` has groups."""
     probes = {0, 1, _WIDE - 1, _WIDE, ms.product - 1}
-    runs = _runs(ms.moduli) or ((ms.product, len(ms)),)
-    place = 1
-    for product, _ in runs:
-        place *= product
-        for edge in (product, place):
-            probes.update((edge - 1, edge, edge + 1))
+    if ms._groups is not None:
+        place = 1
+        for p in ms._groups.pass_set.moduli:
+            place *= p
+            for edge in (p, place):
+                probes.update((edge - 1, edge, edge + 1))
     probes.update(rng.randrange(ms.product) for _ in range(20))
     probes.update(rng.randrange(_WIDE, ms.product) for _ in range(20) if _WIDE < ms.product)
     return sorted(x for x in probes if 0 <= x < ms.product)
 
 
+def _check_encodes(ms, probes):
+    for x in probes:
+        assert encode(x, ms).values == tuple(x % m for m in ms.moduli), x
+
+
+def _regroupable(bits: int):
+    """A set no context has seen, with a case-2 and a case-1 choice of g
+    and h on it that group its channels differently."""
+    ctx = select_context(_odd(bits), RangeCase.CASE2, 30)
+    n, g, h = ctx.params.modulus, ctx.g_indices, ctx.h_indices
+    other = make_context(ModuliSet(ctx.mset.moduli), n, g[1:], h, RangeCase.CASE1)
+    assert other._groups.members != ctx._groups.members
+    return ModuliSet(ctx.mset.moduli), [(n, g, h, RangeCase.CASE2), (n, g[1:], h, RangeCase.CASE1)]
+
+
 class TestRuns:
     @pytest.mark.parametrize("ms", SETS.values(), ids=SETS.keys())
     def test_matches_one_reduction_per_modulus(self, ms):
+        # The set as built, the same moduli with no context, and the set's
+        # pass set if it has groups.
         rng = random.Random(len(ms))
-        for x in _probes(ms, rng):
-            assert encode(x, ms).values == tuple(x % m for m in ms.moduli), x
+        probes = _probes(ms, rng)
+        _check_encodes(ms, probes)
+        _check_encodes(ModuliSet(ms.moduli), probes)
+        if ms._groups is not None:
+            pass_set = ms._groups.pass_set
+            assert pass_set._groups is None
+            _check_encodes(pass_set, probes)
 
-    @pytest.mark.parametrize("ms", SETS.values(), ids=SETS.keys())
-    def test_runs_cover_the_moduli_in_order(self, ms):
-        runs = _runs(ms.moduli)
-        if not runs:
+    @pytest.mark.parametrize("name", SETS)
+    def test_runs_cover_the_moduli_in_order(self, name):
+        # A set gets groups from the narrow-word context built on it; each
+        # group is a run of ascending channels whose moduli multiply to its
+        # group modulus, and the groups cover every channel once.
+        ms = SETS[name]
+        groups = ms._groups
+        assert (groups is not None) == (name in WORD_BITS and WORD_BITS[name][1] < 254)
+        if groups is None:
             return
-        start = 0
-        for product, end in runs:
-            assert start < end
-            assert product == prod(ms.moduli[start:end])
-            assert product.bit_length() <= _RUN_BITS or end - start == 1
-            if end < len(ms):
-                # The next modulus would not fit the run's width in bits.
-                width = sum(m.bit_length() for m in ms.moduli[start:end + 1])
-                assert width > _RUN_BITS
-            start = end
-        assert start == len(ms)
-        assert len(ms) >= 3 * len(runs)
-
-    def test_edge_shapes(self):
-        runs = _runs(SETS["512-bit-runs"].moduli)
-        assert [end for _, end in runs] == [4, 8, 12, 16, 20, 24]
-        assert {product.bit_length() for product, _ in runs} == {_RUN_BITS}
-        wide = SETS["wide-tail"]
-        ends = [end for _, end in _runs(wide.moduli)]
-        assert ends[-3:] == [len(wide) - 2, len(wide) - 1, len(wide)]
+        assert groups.channels is ms
+        covered = sorted(i for group in groups.members for i in group)
+        assert covered == list(range(len(ms)))
+        for group, p in zip(groups.members, groups.pass_set.moduli):
+            assert list(group) == sorted(group)
+            assert p == prod(ms.moduli[i] for i in group)
+        assert groups.pass_set.product == ms.product
+        assert len(groups.members) < len(ms)
 
     def test_wide_moduli_get_no_runs(self):
-        # At 254-bit moduli a run would be a pair, which measured slower than
-        # one reduction per modulus.
-        ms = SETS["2048-254"]
-        x = ms.product - 1
-        assert encode(x, ms).values == tuple(x % m for m in ms.moduli)
-        assert ms._runs == ()
+        # At 254-bit words and wider every group is one channel, so no
+        # context registers groups and a wide encode reduces per channel.
+        for name in ("2048-254", "4096-1024"):
+            ms = SETS[name]
+            x = ms.product - 1
+            assert encode(x, ms).values == tuple(x % m for m in ms.moduli)
+            assert ms._groups is None
 
-    def test_runs_are_built_on_the_first_wide_encode(self):
-        ms = make_moduli_set(coprime_below((1 << 30) - 1, 139))
-        assert ms._runs is None
-        encode(_WIDE - 1, ms)
-        assert ms._runs is None
-        encode(_WIDE, ms)
-        runs = ms._runs
-        assert runs == _runs(ms.moduli) and len(runs) == 9
-        encode(ms.product - 1, ms)
-        assert ms._runs is runs
+    def test_wide_encodes_split_through_the_registered_groups(self, monkeypatch):
+        splits = []
+        original = ChannelGroups.split
+
+        def counted(self, rv):
+            splits.append(self)
+            return original(self, rv)
+
+        monkeypatch.setattr(ChannelGroups, "split", counted)
+        ctx = select_context(_odd(2048), RangeCase.CASE2, 30)
+        ms = ctx.mset
+        assert ms._groups is ctx._groups and ctx._pass_set._groups is None
+        fresh = ModuliSet(ms.moduli)
+        assert fresh._groups is None
+        for target, x, count in (
+            (ms, _WIDE - 1, 0),
+            (ms, _WIDE, 1),
+            (ms, ms.product - 1, 1),
+            (fresh, ms.product - 1, 0),
+            (ctx._pass_set, ms.product - 1, 0),
+        ):
+            del splits[:]
+            assert encode(x, target).values == tuple(x % m for m in target.moduli)
+            assert splits == [ctx._groups] * count
+        # A later context on the set keeps the first one's groups; a
+        # context at the default word size registers none.
+        again = make_context(ms, ctx.params.modulus, ctx.g_indices, ctx.h_indices, RangeCase.CASE2)
+        assert again._groups is not ctx._groups and ms._groups is ctx._groups
+        default = select_context(ctx.params.modulus, RangeCase.CASE2)
+        assert default._groups is None and default.mset._groups is None
 
     def test_concurrent_first_encodes_agree(self):
-        # Threads may race to fill a set's runs; each builds the same tuple,
-        # so every encode is right whichever one is kept.
-        sets = [make_moduli_set(coprime_below((1 << 30) - 1 - k, 60))
-                for k in range(0, 200, 10)]
-        values = [ms.product - 1 - k for k, ms in enumerate(sets)]
+        # Threads build contexts with two different groupings on shared
+        # sets while others encode wide values on them. Either grouping
+        # may be kept, and every encode is right whichever one is.
+        shared = [_regroupable(bits) for bits in (600, 640, 672)]
         wrong = []
 
+        def build(choice):
+            for ms, specs in shared:
+                n, g, h, case = specs[choice]
+                make_context(ms, n, g, h, case)
+
         def encode_all():
-            for ms, x in zip(sets, values):
-                if encode(x, ms).values != tuple(x % m for m in ms.moduli):
-                    wrong.append((ms, x))
+            for _ in range(20):
+                for ms, _ in shared:
+                    x = ms.product - 1
+                    if encode(x, ms).values != tuple(x % m for m in ms.moduli):
+                        wrong.append((ms, x))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=encode_all) for _ in range(4)]
+            threads = [threading.Thread(target=build, args=(k % 2,)) for k in range(4)]
+            threads += [threading.Thread(target=encode_all) for _ in range(2)]
             for t in threads:
                 t.start()
             for t in threads:
-                t.join(timeout=30)
+                t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
-        for ms in sets:
-            assert ms._runs == _runs(ms.moduli)
+        for ms, specs in shared:
+            built = [make_context(ModuliSet(ms.moduli), *spec)._groups for spec in specs]
+            assert ms._groups.members in [groups.members for groups in built]
+            _check_encodes(ms, [_WIDE, ms.product - 1])
 
     def test_first_wide_encode_retains_the_runs_only(self):
-        # 139 moduli of 30 bits, as at a 2048-bit modulus: nine runs of a
-        # 512-bit product and an index each, not a tuple of moduli per run.
-        ms = make_moduli_set(coprime_below((1 << 30) - 1, 139))
-        x = ms.product - 1
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            encode(x, ms)
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert len(ms._runs) == 9
-        assert retained <= 1600
+        # 139 moduli of 30 bits, as at a 2048-bit modulus. A set with no
+        # context reduces per channel and a registered one splits through
+        # the groups its context built, so neither first wide encode keeps
+        # anything.
+        registered = select_context(_odd(2048), RangeCase.CASE2, 30).mset
+        assert len(registered) == 139 and registered._groups is not None
+        for ms in (make_moduli_set(coprime_below((1 << 30) - 1, 139)), registered):
+            groups = ms._groups
+            x = ms.product - 1
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                encode(x, ms)
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert ms._groups is groups
+            assert retained <= 1600
 
 
 class TestIntegersOnly:

@@ -8,7 +8,9 @@ import rnsbarrett.modexp
 from rnsbarrett import (
     CaseMismatch,
     InputOutOfRange,
+    PartialResidueVector,
     RangeCase,
+    SetMismatch,
     bmm_modexp,
     decode_crt,
     encode,
@@ -20,7 +22,7 @@ from rnsbarrett import (
 )
 from rnsbarrett.modexp import MAX_WIDTH, window_plan
 
-from helpers import random_context
+from helpers import coprime_below, random_context
 
 
 def case2_context():
@@ -65,6 +67,20 @@ def test_non_integer_exponent_rejected(exponent):
     ctx = case2_context()
     with pytest.raises(TypeError):
         bmm_modexp(encode(2, ctx.mset), exponent, ctx)
+
+
+@pytest.mark.parametrize("word_bits", [30, 254])
+@pytest.mark.parametrize("exponent", [0, 1, 2])
+def test_foreign_or_partial_base_rejected_at_every_exponent(word_bits, exponent):
+    n = random.Random(7).getrandbits(256) | 1 << 255 | 1
+    ctx = select_context(n, RangeCase.CASE2, word_bits)
+    ms = ctx.mset
+    foreign = make_moduli_set(coprime_below((1 << word_bits) - 5, 4))
+    with pytest.raises(SetMismatch):
+        bmm_modexp(encode(3, foreign), exponent, ctx)
+    partial = PartialResidueVector(dict(enumerate(encode(3, ms).values)), ms)
+    with pytest.raises(TypeError):
+        bmm_modexp(partial, exponent, ctx)
 
 
 def test_oversized_base_rejected():

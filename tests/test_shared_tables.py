@@ -5,7 +5,7 @@ g and h builds two tables: one peels g + x and extends to h, one peels
 h + x and extends to g. Each is one stage's extension, and its first
 columns, one per group of g (or h) and the same integer objects, are the
 other stage's divide rows. The tables are over the context's pass set,
-whose moduli are groups of channels (``quotient.ChannelGroups``); every
+whose moduli are groups of channels (``rns.ChannelGroups``); every
 context here groups several narrow channels. The structural tests check
 that sharing against rows built on their own over the same pass set; the edge shapes run whole passes against
 scalar ``modmul`` and the one-modulus-at-a-time reference in ``helpers``.
