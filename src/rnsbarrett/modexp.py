@@ -17,7 +17,11 @@ such as 65537 therefore stay binary, and the table holds at most
 Every multiplication is a ``bmm`` call, so the context must use a closed
 range case (2 or 4); in the open cases the operands would drift out of the
 admissible input range after the first squaring. Every table entry and
-every chain value is a ``bmm`` output and so stays in that range.
+every chain value is a ``bmm`` output and so stays in that range. On a
+context whose channels fall into groups, the base is combined into the
+context's pass set once, every ``bmm`` of the table and the chain takes
+and returns pass-set vectors, and the result is split into channels once
+at the end.
 """
 
 import re
@@ -77,9 +81,12 @@ def bmm_modexp(
 
     ``check_intermediates`` decodes every table entry and every chain value
     and raises AssertionError if one leaves the closed range; it exists for
-    tests and costs one decode per multiply. Raises TypeError for a
-    non-integer exponent or a base that is not a ResidueVector, and
-    SetMismatch for a base on another moduli set, whatever the exponent.
+    tests and costs one decode per multiply, on the pass set when the
+    chain runs there. Raises TypeError for a non-integer exponent or a base
+    that is not a ResidueVector, and SetMismatch for a base on another
+    moduli set, whatever the exponent. Exponents 0 and 1 run no pass: 0
+    gives ``encode(1, ctx.mset)`` and 1 the base itself. As with ``bmm``,
+    a base on the context's pass set gives a result on it.
     """
     exponent = index(exponent)
     case = ctx.params.case
@@ -89,12 +96,15 @@ def bmm_modexp(
         )
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
-    _check_operands(ctx, x)
+    on = _check_operands(ctx, x)
     limit = ctx.params.input_limit
     if decode_crt(x) >= limit:
         raise InputOutOfRange(f"decoded base not below {int_text(limit)}")
-    if exponent == 0:
-        return encode(1, ctx.mset)
+    if exponent < 2:
+        return x if exponent else encode(1, on)
+    groups = None if on is ctx._pass_set else ctx._groups
+    if groups is not None:
+        x = groups.combine(x.values)
 
     def _checked(rv: ResidueVector) -> ResidueVector:
         if check_intermediates and decode_crt(rv) >= limit:
@@ -117,7 +127,7 @@ def bmm_modexp(
         done = end
     for _ in range(exponent.bit_length() - done):
         y = _checked(bmm(y, y, ctx))
-    return y
+    return y if groups is None else groups.split(y)
 
 
 def final_result(y: ResidueVector, ctx: RnsBarrettContext) -> int:

@@ -45,7 +45,9 @@ class ModuliSet:
     Two slots start empty and are filled later: ``_crt_weights`` by the
     first ``decode_crt`` of the set, ``_groups`` by the first context built
     on it whose channels fall into groups; nothing else changes after
-    construction. Instances are safe to share between threads: two
+    construction. Within the package, a context's pass set is decoded only
+    by a checked ``bmm_modexp`` chain, whose first decode fills its
+    weights. Instances are safe to share between threads: two
     threads that fill a slot at once leave either value, and any grouping
     of a set gives the same residues.
     """
@@ -130,6 +132,9 @@ class ResidueVector:
         return rv
 
     def _channelwise(self, op, other: "ResidueVector") -> "ResidueVector":
+        # Anything else, a partial vector or an int, raises TypeError.
+        if not isinstance(other, ResidueVector):
+            return NotImplemented
         mset = self.mset
         if other.mset is not mset and other.mset != mset:
             raise SetMismatch("residue vectors belong to different moduli sets")

@@ -118,24 +118,44 @@ def make_context(
     return RnsBarrettContext(mset=ms, params=params, g_indices=g_idx, h_indices=h_idx)
 
 
-def _check_operands(ctx: RnsBarrettContext, *operands) -> None:
-    """TypeError unless each is a ResidueVector, SetMismatch unless on ctx's set."""
+def _check_operands(ctx: RnsBarrettContext, *operands) -> ModuliSet:
+    """The set the operands are on: ``ctx.mset`` or ``ctx._pass_set``.
+
+    Raises TypeError unless each is a ResidueVector, and SetMismatch unless
+    all are on the same one of the two sets. Without groups both are
+    ``ctx.mset``.
+    """
+    on = None
     for v in operands:
         if not isinstance(v, ResidueVector):
             raise TypeError(f"operands must be ResidueVectors, not {type(v).__name__}")
-        if v.mset is not ctx.mset and v.mset != ctx.mset:
+        ms = v.mset
+        if ms is on:
+            continue
+        if ms is ctx.mset or ms == ctx.mset:
+            ms = ctx.mset
+        elif ms is ctx._pass_set or ms == ctx._pass_set:
+            ms = ctx._pass_set
+        else:
             raise SetMismatch("operands do not belong to the context's moduli set")
+        if on is not None and ms is not on:
+            raise SetMismatch("one operand is on the channels, the other on the pass set")
+        on = ms
+    return on
 
 
-def _multiply_reduce(a: ResidueVector, b: ResidueVector, ctx: RnsBarrettContext):
+def _multiply_reduce(a: ResidueVector, b: ResidueVector, ctx: RnsBarrettContext, on):
     """One pass on the pass set; StepTrace's fields in order, d_partial None if g = 1.
 
-    With groups, the channel products a_i * b_i combine into the pass set's
-    x once; every later vector is on the pass set.
+    ``on`` is the operands' set, from ``_check_operands``. Channel operands
+    on a context with groups have their products a_i * b_i combined into
+    the pass set's x once; pass-set operands multiply there directly.
+    Every later vector is on the pass set.
     """
-    _check_operands(ctx, a, b)
-    groups = ctx._groups
-    x = a * b if groups is None else groups.combine(list(map(mul, a.values, b.values)))
+    if on is ctx._pass_set:
+        x = a * b
+    else:
+        x = ctx._groups.combine(list(map(mul, a.values, b.values)))
     if ctx._g_partition is None:
         # g = 1: the first quotient is x itself, already known everywhere.
         d_partial = None
@@ -157,17 +177,27 @@ def bmm(a: ResidueVector, b: ResidueVector, ctx: RnsBarrettContext) -> ResidueVe
     caller's contract, since checking it would require a decode. The result
     is exactly what the scalar ``barrett.modmul`` computes for the same
     operands and constants, not merely congruent to it.
+
+    Both operands are on the channels, ``ctx.mset``, or both on the pass
+    set, ``ctx._pass_set``, and the result is on the same set: a chain of
+    passes such as ``bmm_modexp``'s combines into the pass set once and
+    splits once.
     """
-    c = _multiply_reduce(a, b, ctx)[-1]
-    groups = ctx._groups
-    return c if groups is None else groups.split(c)
+    on = _check_operands(ctx, a, b)
+    c = _multiply_reduce(a, b, ctx, on)[-1]
+    return c if on is ctx._pass_set else ctx._groups.split(c)
 
 
 def trace_bmm(
     a: ResidueVector, b: ResidueVector, ctx: RnsBarrettContext
 ) -> StepTrace:
-    """Run one multiply-reduce pass and keep every intermediate, split into channels."""
-    x, d_partial, d_full, e, q_partial, q_full, c = _multiply_reduce(a, b, ctx)
+    """Run one multiply-reduce pass and keep every intermediate, split into channels.
+
+    The operands are on either of ``bmm``'s two sets; the trace is the same.
+    """
+    x, d_partial, d_full, e, q_partial, q_full, c = _multiply_reduce(
+        a, b, ctx, _check_operands(ctx, a, b)
+    )
     groups = ctx._groups
     if groups is not None:
         x, d_full, e, q_full, c = map(groups.split, (x, d_full, e, q_full, c))

@@ -5,8 +5,11 @@ Within each role a group takes the next channel while the bit lengths of
 its members add up to at most ``DEFAULT_WORD_BITS``, and a context whose
 channels fall into groups runs its pass on the group moduli, its pass set:
 it combines the channel product once on entry and splits the result once
-on exit. At the default word size every group is one channel, so the pass
-set is the context's own set and a pass neither combines nor splits.
+on exit. ``bmm`` also takes two operands already on the pass set and then
+neither combines nor splits, so ``bmm_modexp`` combines its base once and
+splits its result once for any exponent of at least 2. At the default
+word size every group is one channel, so the pass set is the context's
+own set and a pass neither combines nor splits.
 Grouped passes are compared with scalar ``modmul``, the
 one-modulus-at-a-time reference in ``helpers`` and ``pow``, none of which
 groups anything.
@@ -282,7 +285,9 @@ def test_group_boundaries_fall_at_every_position():
     assert last == set(range(1, 9))
 
 
-def test_grouped_bmm_combines_once_and_splits_once(monkeypatch):
+@pytest.fixture
+def group_calls(monkeypatch):
+    """Counts every ``ChannelGroups.combine`` and ``split`` call."""
     calls = {"combine": 0, "split": 0}
     for name in calls:
         original = getattr(ChannelGroups, name)
@@ -292,28 +297,77 @@ def test_grouped_bmm_combines_once_and_splits_once(monkeypatch):
             return original(self, values)
 
         monkeypatch.setattr(ChannelGroups, name, counted)
+    return calls
+
+
+def test_grouped_bmm_combines_once_and_splits_once(group_calls):
     for ctx in GROUPED.values():
         ms = ctx.mset
         limit = ctx.params.input_limit
         # A wide operand splits through the set's groups when it is encoded,
         # so both are encoded outside the counted window.
         a, b = encode(limit - 1, ms), encode(limit - 2, ms)
-        before = dict(calls)
+        before = dict(group_calls)
         c = bmm(a, b, ctx)
-        assert calls == {name: count + 1 for name, count in before.items()}
+        assert group_calls == {name: count + 1 for name, count in before.items()}
         assert decode_crt(c) == modmul(limit - 1, limit - 2, ctx.params)
+
+
+def test_grouped_modexp_combines_once_and_splits_once(group_calls):
+    # The whole chain, table included, runs on the pass set; exponents 0
+    # and 1 run no pass and so neither combine nor split.
+    rng = random.Random(64)
+    for ctx in GROUPED.values():
+        n = ctx.params.modulus
+        x = rng.randrange(ctx.params.input_limit)
+        base = encode(x, ctx.mset)
+        e = rng.getrandbits(64) | 1 << 63
+        before = dict(group_calls)
+        assert bmm_modexp(base, 0, ctx) == encode(1, ctx.mset)
+        assert bmm_modexp(base, 1, ctx) is base
+        assert group_calls == before
+        y = bmm_modexp(base, e, ctx)
+        assert group_calls == {name: count + 1 for name, count in before.items()}
+        assert final_result(y, ctx) == pow(x, e, n)
+
+
+@pytest.mark.parametrize("ctx", GROUPED.values(), ids=GROUPED.keys())
+def test_pass_set_operands_skip_the_combine_and_the_split(ctx):
+    groups = ctx._groups
+    ms = ctx.mset
+    limit = ctx.params.input_limit
+    rng = random.Random(limit)
+    for x, y in [(limit - 1, limit - 2), (rng.randrange(limit), rng.randrange(limit))]:
+        a, b = encode(x, ms), encode(y, ms)
+        pa, pb = groups.combine(a.values), groups.combine(b.values)
+        assert pa.mset is ctx._pass_set
+        assert bmm(pa, pb, ctx) == groups.combine(bmm(a, b, ctx).values)
+        assert trace_bmm(pa, pb, ctx) == trace_bmm(a, b, ctx)
+    e = rng.getrandbits(64) | 1 << 63
+    assert bmm_modexp(pa, e, ctx) == groups.combine(bmm_modexp(a, e, ctx).values)
 
 
 def test_grouped_bmm_refuses_foreign_operands():
     ctx = GROUPED["g3"]
-    foreign = make_moduli_set(coprime_below((1 << 29) - 1, len(ctx.mset.moduli)))
-    assert len(foreign.moduli) == len(ctx.mset.moduli)
-    a, b = encode(5, foreign), encode(7, ctx.mset)
-    for x, y in ((a, b), (b, a), (a, a)):
+    ms = ctx.mset
+    foreign = make_moduli_set(coprime_below((1 << 29) - 1, len(ms.moduli)))
+    assert len(foreign.moduli) == len(ms.moduli)
+    a, b = encode(5, foreign), encode(7, ms)
+    # A pass-set vector of another context on the same channels whose g
+    # and h group them differently: as many group moduli, not the same.
+    other = make_context(ms, ctx.params.modulus, (5, 6, 7), (0, 1, 2, 3), RangeCase.CASE2)
+    assert len(other._pass_set.moduli) == len(ctx._pass_set.moduli)
+    assert other._pass_set != ctx._pass_set
+    regrouped = other._groups.combine(b.values)
+    # One operand on the channels, the other on the pass set.
+    p = ctx._groups.combine(b.values)
+    for x, y in ((a, b), (b, a), (a, a), (b, p), (p, b), (regrouped, p), (p, regrouped)):
         with pytest.raises(SetMismatch):
             bmm(x, y, ctx)
         with pytest.raises(SetMismatch):
             trace_bmm(x, y, ctx)
+    with pytest.raises(SetMismatch):
+        bmm_modexp(regrouped, 2, ctx)
 
 
 @pytest.mark.parametrize("word_bits", [30, 254])

@@ -170,10 +170,15 @@ def test_65537_stays_binary(passes):
 
 
 def test_exponents_zero_and_one_make_no_pass(passes):
-    ctx = case2_context()
-    x = encode(20, ctx.mset)
-    assert bmm_modexp(x, 0, ctx) == encode(1, ctx.mset)
-    assert bmm_modexp(x, 1, ctx) is x
+    # At 30-bit words the channels fall into groups, and still no base is
+    # combined into the pass set.
+    n = random.Random(30).getrandbits(256) | 1 << 255 | 1
+    grouped = select_context(n, RangeCase.CASE2, 30)
+    assert grouped._groups is not None
+    for ctx in (case2_context(), grouped):
+        x = encode(20, ctx.mset)
+        assert bmm_modexp(x, 0, ctx) == encode(1, ctx.mset)
+        assert bmm_modexp(x, 1, ctx) is x
     assert passes[0] == 0
 
 
@@ -243,6 +248,28 @@ def test_exponents_at_width_changes_against_pow(case):
             x = rng.randrange(bound)
             y = bmm_modexp(encode(x, ctx.mset), e, ctx, check_intermediates=True)
             assert final_result(y, ctx) == pow(x, e, n), e
+
+
+@pytest.mark.parametrize("case", [RangeCase.CASE2, RangeCase.CASE4], ids=["case2", "case4"])
+@pytest.mark.parametrize("word_bits", [8, 16, 30, 62, 126, 254])
+def test_checked_chain_against_pow_at_every_word_size(word_bits, case):
+    # Below 254-bit words the chain runs on the pass set, and the check
+    # decodes its vectors there: the pass set's weights are computed then.
+    rng = random.Random(word_bits)
+    bits = 96 if word_bits == 8 else 512
+    n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+    ctx = select_context(n, case, word_bits)
+    assert (ctx._groups is None) == (word_bits == 254)
+    assert ctx._pass_set._crt_weights is None
+    limit = ctx.params.input_limit
+    exponents = [2, 3, 65537, rng.getrandbits(64), rng.getrandbits(64) | 1 << 63]
+    for e in exponents:
+        x = rng.randrange(limit)
+        y = bmm_modexp(encode(x, ctx.mset), e, ctx, check_intermediates=True)
+        assert y.mset is ctx.mset
+        assert decode_crt(y) < limit
+        assert final_result(y, ctx) == pow(x, e, n), e
+    assert ctx._pass_set._crt_weights is not None
 
 
 def test_check_intermediates_covers_the_table(monkeypatch):

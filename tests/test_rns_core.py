@@ -347,6 +347,18 @@ class TestElementwise:
         with pytest.raises(SetMismatch):
             encode(1, EX_SET) * encode(1, other)
 
+    @pytest.mark.parametrize("other", ["partial", "int"])
+    def test_operand_that_is_not_a_vector_raises_type_error(self, other):
+        # A partial vector on the right once zipped its dict's keys as
+        # residues: * gave (0, 2, 6) and - gave (1, 1, 1) for these.
+        ms = make_moduli_set([3, 5, 7])
+        right = PartialResidueVector({0: 1, 1: 2, 2: 3}, ms) if other == "partial" else 3
+        left = encode(52, ms)
+        with pytest.raises(TypeError):
+            left * right
+        with pytest.raises(TypeError):
+            left - right
+
     def test_homomorphism_random(self):
         ms = make_moduli_set([7, 9, 11, 13, 25])
         rng = random.Random(7)
