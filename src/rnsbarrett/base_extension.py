@@ -45,15 +45,20 @@ def base_extend(x: PartialResidueVector) -> ResidueVector:
     of the known-channel moduli; that bound is not detectable here, and a
     violation silently yields the residues of the value reduced into that
     range. Call sites in this package document why their quotients satisfy
-    the bound.
+    the bound. Raises TypeError unless x is a PartialResidueVector.
     """
+    try:
+        rows = x._extend
+    except AttributeError:
+        raise TypeError(
+            f"base_extend needs a PartialResidueVector, not {type(x).__name__}"
+        ) from None
     ms = x.mset
     moduli = ms.moduli
     n = len(moduli)
     values = x.values
     if not values:
         raise EmptyKnownSet("nothing to extend from")
-    rows = x._extend
     if rows is None:
         rows = PeelRows(moduli, tuple(values), [i for i in range(n) if i not in values])
     full = [0] * n

@@ -131,5 +131,11 @@ def bmm_modexp(
 
 
 def final_result(y: ResidueVector, ctx: RnsBarrettContext) -> int:
-    """Decode and reduce into [0, n) with conditional subtractions."""
+    """Decode and reduce into [0, n) with conditional subtractions.
+
+    ``y`` is on the context's channels or its pass set, as ``bmm`` returns
+    it. Raises TypeError unless it is a ResidueVector, and SetMismatch for
+    a vector on another moduli set.
+    """
+    _check_operands(ctx, y)
     return final_correct(decode_crt(y), ctx.params.modulus)

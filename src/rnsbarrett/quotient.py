@@ -14,17 +14,9 @@ known only on the surviving channels; that is still a complete
 description, since the quotient is smaller than the product of the
 surviving moduli.
 
-A digit costs about the same at any modulus width, and neither the
-quotient nor base extension depends on how a product is factored. So a
-context whose narrow channels fall into groups (``rns.ChannelGroups``, by
-the rule in ``_group``, the package's only one) runs its whole pass on the
-group moduli, its pass set: ``rns_barrett`` combines the channel product
-into group residues once on entry and splits the result into channels once
-on exit, and the stages here see only the pass set. At the default word
-size every group is one channel and the pass set is the context's own; at
-30-bit words a 2048-bit pass peels 38 digits instead of 278. A
-``ModuliPartition`` built on its own peels the moduli of its set, one
-channel per digit.
+A ``ModuliPartition`` peels the moduli of its set, one per digit. A
+context's stages are built over its pass set (``rns_barrett``), whose
+moduli may be groups of narrow channels, so there a digit peels a group.
 
 A stage is one pass over plain sequences: the peel indexes the dividend's
 residues directly, and the result carries the partition's extension rows,
@@ -38,49 +30,7 @@ shares two tables between its stages, not four.
 from dataclasses import dataclass, field
 
 from .errors import SetMismatch
-from .rns import (
-    ChannelGroups,
-    ModuliSet,
-    PartialResidueVector,
-    PeelRows,
-    ResidueVector,
-    _peel,
-)
-
-# The default word size of ``selection``, and the most bits of moduli a
-# group holds, so at the default every group is one channel.
-DEFAULT_WORD_BITS = 254
-
-
-def _group(mset: ModuliSet, g_indices, h_indices):
-    """The set a context's pass runs on, g and h as indices into it, the groups.
-
-    Channels have four roles: in g only, in h only, in both, in neither.
-    Within each role, in ascending order, a group takes the next channel
-    while its members' bit lengths sum to at most ``DEFAULT_WORD_BITS``,
-    so a channel at least that wide is a group of its own and every group
-    lies wholly inside or outside g and h. When every group is one channel
-    the groups are None and the pass runs on ``mset`` itself.
-    """
-    moduli = mset.moduli
-    in_g, in_h = set(g_indices), set(h_indices)
-    neither = set(range(len(moduli))) - in_g - in_h
-    members = []
-    for role in (in_g - in_h, in_h - in_g, in_g & in_h, neither):
-        width = DEFAULT_WORD_BITS  # each role starts a group
-        for i in sorted(role):
-            bits = moduli[i].bit_length()
-            if width + bits > DEFAULT_WORD_BITS:
-                members.append([])
-                width = 0
-            members[-1].append(i)
-            width += bits
-    if len(members) == len(moduli):
-        return mset, g_indices, h_indices, None
-    groups = ChannelGroups(mset, members)
-    g_ids = tuple(j for j, group in enumerate(groups.members) if group[0] in in_g)
-    h_ids = tuple(j for j, group in enumerate(groups.members) if group[0] in in_h)
-    return groups.pass_set, g_ids, h_ids, groups
+from .rns import ModuliSet, PartialResidueVector, PeelRows, ResidueVector, _peel
 
 
 def _sorted_indices(n: int, indices, name: str) -> tuple[int, ...]:

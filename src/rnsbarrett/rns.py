@@ -200,9 +200,9 @@ class ChannelGroups:
     moduli, each the product of its members' moduli; ``members`` holds each
     group's channel indices, in the order of ``pass_set.moduli``.
     ``combine`` turns channel residues into a pass-set vector by the
-    remainder theorem, with one weight per channel computed here;
-    ``split`` and ``split_known`` turn pass-set vectors back into channel
-    ones. Which channels form a group is ``quotient._group``'s rule.
+    remainder theorem, with one weight per channel computed here; ``split``
+    turns a pass-set vector back into a channel one. Which channels form a
+    group is the rule of ``rns_barrett._group``, beside the context.
     Instances are immutable in use and safe to share between threads.
     """
 
@@ -248,14 +248,6 @@ class ChannelGroups:
             tuple(map(mod, self._owner(rv.values), channels.moduli)), channels
         )
 
-    def split_known(self, prv: PartialResidueVector) -> PartialResidueVector:
-        """The channel residues of every member of the groups ``prv`` knows."""
-        channels, members = self.channels, self.members
-        moduli = channels.moduli
-        return PartialResidueVector._reduced(
-            {i: r % moduli[i] for j, r in prv.values.items() for i in members[j]}, channels
-        )
-
 
 def encode(x: int, ms: ModuliSet) -> ResidueVector:
     """Residues of x on every channel. Requires an integer 0 <= x < M.
@@ -286,8 +278,11 @@ def decode_crt(rv: ResidueVector) -> int:
     each step scaling the terms so far by the next modulus and adding the
     new term times the product of the moduli before it. The sum is exact
     and reduced modulo M once at the end. The weights w_i = (M / m_i)^-1
-    mod m_i are computed on the set's first decode and kept in it.
+    mod m_i are computed on the set's first decode and kept in it. Raises
+    TypeError unless ``rv`` is a ResidueVector.
     """
+    if not isinstance(rv, ResidueVector):
+        raise TypeError(f"decode_crt needs a ResidueVector, not {type(rv).__name__}")
     ms = rv.mset
     weights = ms._crt_weights
     if weights is None:

@@ -13,6 +13,16 @@ mu-product e, bounded by input_bound^2 * h * n, which is what the capacity
 condition (capacity_factor * h * n < M) guarantees. The same bounds keep
 both base extensions inside their contract: the first quotient is below
 M/g and the second below M/h.
+
+A peel digit costs about the same at any modulus width, and no step
+depends on how M, g or h is factored into moduli. So a context whose
+narrow channels fall into groups (``rns.ChannelGroups``, by ``_group``,
+the package's one group rule) runs its whole pass on the group moduli,
+its pass set: channel operands are combined into group residues once on
+entry and the result is split into channels once on exit, and both stages
+are built over the pass set. At the default word size every group is one
+channel and the pass set is the context's own; at 30-bit words a 2048-bit
+pass peels 38 digits instead of 278.
 """
 
 from dataclasses import dataclass, field
@@ -22,9 +32,45 @@ from operator import mul
 from .barrett import BarrettParams, RangeCase, capacity_condition, make_params
 from .base_extension import base_extend
 from .errors import SetMismatch
-from .quotient import ModuliPartition, _group, _sorted_indices
-from .quotient import _stage_partitions, quotient_by_moduli_product
+from .quotient import ModuliPartition, _sorted_indices, _stage_partitions
+from .quotient import quotient_by_moduli_product
 from .rns import ChannelGroups, ModuliSet, PartialResidueVector, ResidueVector, encode
+
+
+# The default word size of ``selection``, and the most bits of moduli a
+# group holds, so at the default every group is one channel.
+DEFAULT_WORD_BITS = 254
+
+
+def _group(mset: ModuliSet, g_indices, h_indices):
+    """The set a context's pass runs on, g and h as indices into it, the groups.
+
+    Channels have four roles: in g only, in h only, in both, in neither.
+    Within each role, in ascending order, a group takes the next channel
+    while its members' bit lengths sum to at most ``DEFAULT_WORD_BITS``,
+    so a channel at least that wide is a group of its own and every group
+    lies wholly inside or outside g and h. When every group is one channel
+    the groups are None and the pass runs on ``mset`` itself.
+    """
+    moduli = mset.moduli
+    in_g, in_h = set(g_indices), set(h_indices)
+    neither = set(range(len(moduli))) - in_g - in_h
+    members = []
+    for role in (in_g - in_h, in_h - in_g, in_g & in_h, neither):
+        width = DEFAULT_WORD_BITS  # each role starts a group
+        for i in sorted(role):
+            bits = moduli[i].bit_length()
+            if width + bits > DEFAULT_WORD_BITS:
+                members.append([])
+                width = 0
+            members[-1].append(i)
+            width += bits
+    if len(members) == len(moduli):
+        return mset, g_indices, h_indices, None
+    groups = ChannelGroups(mset, members)
+    g_ids = tuple(j for j, group in enumerate(groups.members) if group[0] in in_g)
+    h_ids = tuple(j for j, group in enumerate(groups.members) if group[0] in in_h)
+    return groups.pass_set, g_ids, h_ids, groups
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -37,15 +83,14 @@ class RnsBarrettContext:
     immutable in use (nothing assigns to them after construction) and safe
     to share across threads.
 
-    The pass runs on ``_pass_set``: the group moduli of ``_groups`` (see
-    ``quotient._group``) when narrow channels fall into groups, otherwise
-    ``mset`` itself, with ``_groups`` None; the first context with groups
-    built on a set registers them there too, for wide encodes. mu and N
-    are stored once, on the pass set; ``mu_rv`` and ``n_rv`` compute their
-    channel residues. The stages' partitions and the peel tables they
-    share come from ``quotient._stage_partitions``: two tables when g is
-    nonempty and disjoint from h, which is every context
-    ``select_context`` builds, and two per partition otherwise.
+    The pass runs on ``_pass_set``, the set ``_group`` returns: the group
+    moduli of ``_groups``, or ``mset`` itself with ``_groups`` None. The
+    first context with groups built on a set registers them there too, for
+    wide encodes. mu and N are stored once, on the pass set; ``mu_rv`` and
+    ``n_rv`` compute their channel residues. The stages' partitions and
+    the peel tables they share come from ``quotient._stage_partitions``:
+    two tables when g is nonempty and disjoint from h, which is every
+    context ``select_context`` builds, and two per partition otherwise.
     """
 
     mset: ModuliSet
@@ -86,7 +131,9 @@ class StepTrace:
     """Intermediate residue vectors of one multiply-reduce pass, on the channels.
 
     Partial vectors keep their unknown channels structurally absent, which
-    is how the trace records which channels each quotient determined.
+    is how the trace records which channels each quotient determined: those
+    outside g for ``d_partial`` (every channel when g = 1), outside h for
+    ``q_partial``.
     """
 
     x: ResidueVector
@@ -145,7 +192,7 @@ def _check_operands(ctx: RnsBarrettContext, *operands) -> ModuliSet:
 
 
 def _multiply_reduce(a: ResidueVector, b: ResidueVector, ctx: RnsBarrettContext, on):
-    """One pass on the pass set; StepTrace's fields in order, d_partial None if g = 1.
+    """One pass on the pass set: x, d_full, e, q_full and c, StepTrace's full vectors.
 
     ``on`` is the operands' set, from ``_check_operands``. Channel operands
     on a context with groups have their products a_i * b_i combined into
@@ -157,17 +204,12 @@ def _multiply_reduce(a: ResidueVector, b: ResidueVector, ctx: RnsBarrettContext,
     else:
         x = ctx._groups.combine(list(map(mul, a.values, b.values)))
     if ctx._g_partition is None:
-        # g = 1: the first quotient is x itself, already known everywhere.
-        d_partial = None
-        d_full = x
+        d_full = x  # g = 1: the first quotient is x itself
     else:
-        d_partial = quotient_by_moduli_product(x, ctx._g_partition)
-        d_full = base_extend(d_partial)
+        d_full = base_extend(quotient_by_moduli_product(x, ctx._g_partition))
     e = d_full * ctx._mu
-    q_partial = quotient_by_moduli_product(e, ctx._h_partition)
-    q_full = base_extend(q_partial)
-    c = x - q_full * ctx._n
-    return x, d_partial, d_full, e, q_partial, q_full, c
+    q_full = base_extend(quotient_by_moduli_product(e, ctx._h_partition))
+    return x, d_full, e, q_full, x - q_full * ctx._n
 
 
 def bmm(a: ResidueVector, b: ResidueVector, ctx: RnsBarrettContext) -> ResidueVector:
@@ -194,16 +236,22 @@ def trace_bmm(
     """Run one multiply-reduce pass and keep every intermediate, split into channels.
 
     The operands are on either of ``bmm``'s two sets; the trace is the same.
+    Each partial vector is its full vector on the channels outside the
+    divisor, since a quotient determines exactly those and base extension
+    keeps them as they are; every group lies wholly inside or outside g
+    and h, so that holds on the pass set too.
     """
-    x, d_partial, d_full, e, q_partial, q_full, c = _multiply_reduce(
-        a, b, ctx, _check_operands(ctx, a, b)
+    vectors = _multiply_reduce(a, b, ctx, _check_operands(ctx, a, b))
+    if ctx._groups is not None:
+        vectors = map(ctx._groups.split, vectors)
+    x, d_full, e, q_full, c = vectors
+    d_partial = _outside(d_full, ctx.g_indices)
+    return StepTrace(x, d_partial, d_full, e, _outside(q_full, ctx.h_indices), q_full, c)
+
+
+def _outside(rv: ResidueVector, divisor_indices) -> PartialResidueVector:
+    """``rv`` on the channels outside ``divisor_indices``."""
+    divisor = set(divisor_indices)
+    return PartialResidueVector._reduced(
+        {i: v for i, v in enumerate(rv.values) if i not in divisor}, rv.mset
     )
-    groups = ctx._groups
-    if groups is not None:
-        x, d_full, e, q_full, c = map(groups.split, (x, d_full, e, q_full, c))
-        q_partial = groups.split_known(q_partial)
-        if d_partial is not None:
-            d_partial = groups.split_known(d_partial)
-    if d_partial is None:
-        d_partial = PartialResidueVector._reduced(dict(enumerate(x.values)), ctx.mset)
-    return StepTrace(x, d_partial, d_full, e, q_partial, q_full, c)

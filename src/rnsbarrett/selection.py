@@ -20,9 +20,8 @@ from math import gcd
 
 from .barrett import RangeCase
 from .errors import ConditionViolation, SelectionFailed
-from .quotient import DEFAULT_WORD_BITS
 from .rns import make_moduli_set
-from .rns_barrett import RnsBarrettContext, make_context
+from .rns_barrett import DEFAULT_WORD_BITS, RnsBarrettContext, make_context
 
 # Largest moduli set a search may build before giving up.
 MAX_MODULI = 512
@@ -100,6 +99,18 @@ def select_context(
         if len(chosen) > MAX_MODULI:
             raise SelectionFailed(f"exceeded budget of {MAX_MODULI} moduli")
 
+    def grow(holds, stage: str) -> None:
+        """Take candidates from ``cand`` down until ``holds()``."""
+        nonlocal cand
+        while not holds():
+            cand = _next_coprime(cand, product, small)
+            if cand < 2:
+                raise SelectionFailed(
+                    f"ran out of coprime candidates below 2^{word_bits} while {stage}"
+                )
+            take(cand)
+            cand -= 1
+
     cand = top
     while True:
         # Candidates above g_cap // g would overshoot the bound; skip them.
@@ -114,27 +125,10 @@ def select_context(
     # Here product == g * h, so the condition is tested only when h grows.
     floor = case.product_floor(modulus)
     cand = top
-    while not case.product_holds(product, floor):
-        cand = _next_coprime(cand, product, small)
-        if cand < 2:
-            raise SelectionFailed(
-                f"ran out of coprime candidates below 2^{word_bits} while building h"
-            )
-        take(cand)
-        cand -= 1
+    grow(lambda: case.product_holds(product, floor), "building h")
     h_moduli = chosen[len(g_moduli):]
-    h_value = product // g_value
-
-    capacity_bound = case.capacity_bound(modulus, h_value)
-    while not case.capacity_holds(capacity_bound, product):
-        cand = _next_coprime(cand, product, small)
-        if cand < 2:
-            raise SelectionFailed(
-                f"ran out of coprime candidates below 2^{word_bits} "
-                "while extending capacity"
-            )
-        take(cand)
-        cand -= 1
+    capacity_bound = case.capacity_bound(modulus, product // g_value)
+    grow(lambda: case.capacity_holds(capacity_bound, product), "extending capacity")
 
     ms = make_moduli_set(chosen)
     where = {m: i for i, m in enumerate(ms.moduli)}

@@ -33,6 +33,11 @@ def test_golden_extend_17():
     assert base_extend(partial).values == (1, 2, 3, 6)
 
 
+def test_full_vector_is_a_type_error():
+    with pytest.raises(TypeError, match="PartialResidueVector"):
+        base_extend(encode(5, EX_SET))
+
+
 def test_full_known_passthrough():
     partial = PartialResidueVector({0: 3, 1: 3, 2: 2, 3: 1}, EX_SET)
     assert base_extend(partial).values == (3, 3, 2, 1)

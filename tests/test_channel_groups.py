@@ -43,8 +43,8 @@ from rnsbarrett import (
     select_context,
     trace_bmm,
 )
-from rnsbarrett.quotient import DEFAULT_WORD_BITS, _group
 from rnsbarrett.rns import ChannelGroups, PeelRows
+from rnsbarrett.rns_barrett import DEFAULT_WORD_BITS, _group
 
 from helpers import build, channels, check_pass, coprime_below, operand_pairs
 
@@ -495,8 +495,3 @@ def test_channel_groups_round_trip_any_partition(groups, data):
     lifted = [v + k * m for v, m, k in zip(rv.values, ms.moduli, range(len(ms)))]
     assert groups.combine(lifted) == grouped
     assert groups.split(ResidueVector(grouped.values, pass_set)) == rv
-    known = data.draw(st.sets(st.sampled_from(range(len(pass_set))), min_size=1))
-    partial = PartialResidueVector({j: grouped.values[j] for j in known}, pass_set)
-    split = groups.split_known(partial)
-    assert split.mset is ms
-    assert split.values == {i: rv.values[i] for j in known for i in groups.members[j]}

@@ -121,6 +121,26 @@ def test_final_result_reduces_representatives():
     assert final_result(encode(2 * n + 5, ctx.mset), ctx) == 5
 
 
+def test_final_result_refuses_a_partial_vector():
+    ctx = select_context(97, RangeCase.CASE2)
+    partial = PartialResidueVector(dict(enumerate(encode(5, ctx.mset).values)), ctx.mset)
+    with pytest.raises(TypeError):
+        final_result(partial, ctx)
+
+
+def test_final_result_refuses_a_vector_of_another_set():
+    ctx = select_context(97, RangeCase.CASE2)
+    other = select_context(10**7 + 19, RangeCase.CASE2)
+    with pytest.raises(SetMismatch):
+        final_result(encode(10**6, other.mset), ctx)
+    # A result left on a grouped context's pass set is accepted.
+    grouped = select_context((1 << 255) + 95, RangeCase.CASE2, 30)
+    n = grouped.params.modulus
+    y = bmm_modexp(encode(n - 1, grouped._pass_set), 65537, grouped)
+    assert y.mset is grouped._pass_set
+    assert final_result(y, grouped) == pow(n - 1, 65537, n)
+
+
 def hac_passes(exponent: int, width: int) -> int:
     """Passes of Alg. 14.85 at ``width``, walking the exponent bit by bit."""
     bit = [(exponent >> i) & 1 for i in range(exponent.bit_length())]

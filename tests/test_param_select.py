@@ -69,6 +69,15 @@ def test_candidate_pool_can_run_out():
         select_context((1 << 127) - 1, RangeCase.CASE1, 4)
 
 
+@pytest.mark.parametrize(
+    "bits, stage", [(6, "while building h"), (4, "while extending capacity")]
+)
+def test_candidate_pool_names_the_stage_that_ran_out(bits, stage):
+    # With 4-bit words the pool is a handful of coprime values below 16.
+    with pytest.raises(SelectionFailed, match=f"below 2\\^4 {stage}$"):
+        select_context((1 << bits) - 1, RangeCase.CASE4, 4)
+
+
 def test_moduli_budget_can_run_out():
     # 16-bit words need about 263 moduli for g and as many for h at 4200 bits
     with pytest.raises(SelectionFailed, match=f"budget of {MAX_MODULI} moduli"):

@@ -30,8 +30,8 @@ from rnsbarrett import (
     select_context,
     trace_bmm,
 )
-from rnsbarrett.quotient import _group
 from rnsbarrett.rns import PeelRows
+from rnsbarrett.rns_barrett import _group
 
 from helpers import COPRIME_POOL, coprime_below, garner, to_mixed_radix
 
@@ -238,6 +238,12 @@ class TestEncodeDecode:
         assert decode_crt(ResidueVector((3, 3, 2, 1), EX_SET)) == 23
         assert decode_crt(ResidueVector((0, 0, 0, 0), EX_SET)) == 0
         assert decode_crt(ResidueVector((1, 2, 3, 6), EX_SET)) == 17
+
+    def test_decode_refuses_a_partial_vector(self):
+        # Decoding a dict would zip its channel indices, not its residues.
+        partial = PartialResidueVector({0: 1, 1: 2, 2: 3}, make_moduli_set([3, 5, 7]))
+        with pytest.raises(TypeError, match="ResidueVector"):
+            decode_crt(partial)
 
     def test_vector_validation(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from rnsbarrett import (
     make_moduli_set,
     quotient_by_moduli_product,
 )
-from rnsbarrett.quotient import _group
+from rnsbarrett.rns_barrett import _group
 
 from helpers import (
     COPRIME_POOL,

@@ -172,9 +172,9 @@ def test_quotient_carries_the_extension_table(ctx):
         quotient = (ms.product - 1) // divisor_product(part)
         assert list(q.values.values()) == [quotient % moduli[j] for j in head.rest]
         assert q._extend is table
-        assert ctx._groups.split_known(q).values == {
-            i: quotient % ms.moduli[i] for i in channels(ctx, head.rest)
-        }
+        members = ctx._groups.members
+        split = {i: r % ms.moduli[i] for j, r in q.values.items() for i in members[j]}
+        assert split == {i: quotient % ms.moduli[i] for i in channels(ctx, head.rest)}
 
 
 # Every stage partition of the shared, example4 and unit-g contexts.

@@ -219,6 +219,59 @@ def test_trace_rows_are_the_public_stages(ctx):
         assert decode_crt(tr.c) == modmul(a, b, ctx.params)
 
 
+
+def split_on_channels(ctx, partial) -> dict:
+    """A pass-set partial vector's residues on its groups' channels."""
+    if ctx._groups is None:
+        return dict(partial.values)
+    moduli, members = ctx.mset.moduli, ctx._groups.members
+    return {i: r % moduli[i] for j, r in partial.values.items() for i in members[j]}
+
+
+def default_context(bits: int):
+    return select_context((1 << (bits - 1)) + 95, RangeCase.CASE2)
+
+
+g1_row = MINIMAL_MARGIN[0]
+PARTIALS = {
+    "default256": default_context(256),
+    "default1024": default_context(1024),
+    **{
+        f"grouped{word_bits}": select_context((1 << (bits - 1)) + 95, RangeCase.CASE2, word_bits)
+        for word_bits, bits in ((8, 96), (16, 256), (30, 512), (62, 1024), (126, 2048))
+    },
+    "example4": make_context(EX_SET, 21, (0, 1), (0, 2)),
+    "case1-g1": make_context(make_moduli_set(g1_row[2]), g1_row[5], g1_row[3], g1_row[4], 1),
+}
+
+
+@pytest.mark.parametrize("ctx", PARTIALS.values(), ids=PARTIALS.keys())
+def test_trace_partials_hold_the_channels_outside_their_divisors(ctx):
+    # Each partial holds exactly the channels outside its divisor, and on
+    # them the pass-set quotient split into channels here, and the exact
+    # quotient of the integers.
+    ms, pass_set, p = ctx.mset, ctx._pass_set, ctx.params
+    top = p.input_limit - 1
+    tr = trace_bmm(encode(top, ms), encode(top, ms), ctx)
+    for partial, divisor in ((tr.d_partial, ctx.g_indices), (tr.q_partial, ctx.h_indices)):
+        assert partial.mset is ms
+        assert sorted(partial.values) == [i for i in range(len(ms)) if i not in divisor]
+    x = top * top
+    d, x_on_pass = x // p.g, encode(x, pass_set)
+    if ctx._g_partition is None:
+        assert tr.d_partial.values == dict(enumerate(tr.x.values))
+        d_full = x_on_pass
+    else:
+        d_partial = quotient_by_moduli_product(x_on_pass, ctx._g_partition)
+        assert tr.d_partial.values == split_on_channels(ctx, d_partial)
+        d_full = base_extend(d_partial)
+    assert tr.d_partial.values == {i: d % ms.moduli[i] for i in tr.d_partial.values}
+    e = d * p.mu
+    q_partial = quotient_by_moduli_product(d_full * ctx._mu, ctx._h_partition)
+    assert tr.q_partial.values == split_on_channels(ctx, q_partial)
+    assert tr.q_partial.values == {i: e // p.h % ms.moduli[i] for i in tr.q_partial.values}
+
+
 def peel_sets(n: int):
     """Peel orders over n channels: each channel alone, ascending and
     descending halves, and all but the last channel."""
