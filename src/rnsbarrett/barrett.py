@@ -27,6 +27,7 @@ table and ``select_context`` all read.
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import index
 from typing import NamedTuple
 
 from .errors import ConditionViolation, InputOutOfRange, int_text
@@ -182,8 +183,11 @@ def modmul(a: int, b: int, p: BarrettParams) -> int:
 
     No final correction is applied, so the result is a bounded
     representative rather than the canonical remainder; feed it to
-    ``final_correct`` when the canonical value is needed.
+    ``final_correct`` when the canonical value is needed. Raises TypeError
+    unless a and b are integers.
     """
+    a = index(a)
+    b = index(b)
     limit = p.input_limit
     if not 0 <= a < limit:
         raise InputOutOfRange(f"operand {int_text(a)} not in [0, {int_text(limit)})")

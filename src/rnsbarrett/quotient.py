@@ -131,7 +131,12 @@ def quotient_by_moduli_product(
     vector determines it uniquely. Divisor-channel residues are consumed by
     the peeling and are deliberately absent from the result, which carries
     the partition's ``extend_rows`` so that ``base_extend`` builds no rows.
+    Raises TypeError unless x is a ResidueVector.
     """
+    if not isinstance(x, ResidueVector):
+        raise TypeError(
+            f"quotient_by_moduli_product needs a ResidueVector, not {type(x).__name__}"
+        )
     mset = part.mset
     if x.mset is not mset and x.mset != mset:
         raise SetMismatch("partition and vector use different moduli sets")

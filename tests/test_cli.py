@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, parameter files, traces, exit codes."""
 
+import contextlib
 import os
 import random
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rnsbarrett
-from rnsbarrett import dump_params, load_params, select_context
+from rnsbarrett import cli, dump_params, load_params, select_context
 from rnsbarrett.cli import main
 from rnsbarrett.paramfile import loads
 from rnsbarrett.selection import MAX_WORD_BITS
@@ -278,6 +279,68 @@ class TestExitCodes:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 1
         assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+# Argument lists whose outputs must not depend on how many commands the
+# parser registers: help at both levels, each kind of usage error, and a
+# successful call of every command.
+PARSER_CASES = {
+    "help": ["--help"],
+    "h": ["-h"],
+    "modmul-help": ["modmul", "--help"],
+    "modexp-help": ["modexp", "--help"],
+    "params-help": ["params", "--help"],
+    "no-arguments": [],
+    "unknown-command": ["bogus"],
+    "missing-operand": ["modmul", "--modulus", "21", "20"],
+    "unknown-option": ["modmul", "--modulus", "21", "--bogus", "20", "19"],
+    "bad-case": ["modexp", "--modulus", "21", "--case", "1", "20", "13"],
+    "modmul": ["modmul", "--modulus", "21", "20", "19"],
+    "modexp": ["modexp", "--modulus", "21", "20", "13"],
+    "params": ["params", "--modulus", "21", "--word-bits", "4"],
+}
+
+
+def outcome(capsys, *args):
+    """main's return or SystemExit code, with what it printed."""
+    try:
+        result = ("return", main(*args))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestParserBuild:
+    @pytest.mark.parametrize("argv", PARSER_CASES.values(), ids=PARSER_CASES.keys())
+    def test_output_matches_every_command_registered(self, capsys, monkeypatch, argv):
+        narrowed = outcome(capsys, argv)
+        # The console script calls main() with no arguments.
+        monkeypatch.setattr(sys, "argv", ["rns-barrett", *argv])
+        assert outcome(capsys) == narrowed
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda argv: build([]))
+        assert outcome(capsys, argv) == narrowed
+
+    @pytest.mark.parametrize("name, built", [
+        ("modmul", 2), ("modexp", 2), ("params", 2),
+        ("help", 4), ("no-arguments", 4), ("unknown-command", 4),
+    ])
+    def test_parsers_built_per_call(self, capsys, monkeypatch, name, built):
+        # The top-level parser and one subparser per registered command.
+        count = 0
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal count
+            count += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        with contextlib.suppress(SystemExit):
+            main(PARSER_CASES[name])
+        capsys.readouterr()
+        assert count == built
 
 
 @needs_str_limit
