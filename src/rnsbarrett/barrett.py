@@ -153,8 +153,10 @@ class BarrettParams:
 def make_params(modulus: int, g: int, h: int, case=RangeCase.CASE1) -> BarrettParams:
     """Check the case conditions and precompute mu = g*h // modulus.
 
-    Raises ConditionViolation naming the first inequality that fails.
+    Raises ConditionViolation naming the first inequality that fails, and
+    TypeError unless modulus, g and h are integers.
     """
+    modulus, g, h = index(modulus), index(g), index(h)
     case = RangeCase(case)
     if modulus < 2:
         raise ConditionViolation(f"n >= 2 fails: n = {int_text(modulus)}")
@@ -201,7 +203,9 @@ def final_correct(c: int, modulus: int) -> int:
     """Reduce a representative in [0, 3*modulus) to [0, modulus).
 
     Two conditional subtractions; anything already reduced passes through.
+    Raises TypeError unless c is an integer.
     """
+    c = index(c)
     if c >= modulus:
         c -= modulus
     if c >= modulus:

@@ -30,7 +30,7 @@ shares two tables between its stages, not four.
 from dataclasses import dataclass, field
 
 from .errors import SetMismatch
-from .rns import ModuliSet, PartialResidueVector, PeelRows, ResidueVector, _peel
+from .rns import ModuliSet, PartialResidueVector, PeelRows, ResidueVector, _moduli, _peel
 
 
 def _sorted_indices(n: int, indices, name: str) -> tuple[int, ...]:
@@ -44,8 +44,9 @@ def _sorted_indices(n: int, indices, name: str) -> tuple[int, ...]:
 
 
 def _split(mset: ModuliSet, divisor_indices) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Sorted divisor indices and the ascending rest; raises ValueError."""
-    n = len(mset.moduli)
+    """Sorted divisor indices and the ascending rest; raises ValueError,
+    and TypeError unless ``mset`` is a ModuliSet."""
+    n = len(_moduli(mset))
     idx = _sorted_indices(n, divisor_indices, "divisor indices")
     if not idx:
         raise ValueError("divisor index set is empty")

@@ -21,8 +21,11 @@ def oracle_modexp(base: int, exponent: int, n: int) -> int:
     Plain binary square-and-multiply on integers, one bit at a time: no
     windows, no table of odd powers and no residues, so it shares nothing
     with ``bmm_modexp``'s sliding windows over residue vectors and the two
-    act as independent checks on each other.
+    act as independent checks on each other. Raises ValueError for a
+    negative exponent, as ``bmm_modexp`` does.
     """
+    if exponent < 0:
+        raise ValueError("exponent must be nonnegative")
     result = 1 % n
     base %= n
     for bit in bin(exponent)[2:]:

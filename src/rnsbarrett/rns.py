@@ -97,6 +97,14 @@ class ModuliSet:
         return f"ModuliSet({list(self.moduli)})"
 
 
+def _moduli(ms) -> tuple[int, ...]:
+    """``ms.moduli``; raises TypeError unless ``ms`` is a ModuliSet."""
+    try:
+        return ms.moduli
+    except AttributeError:
+        raise TypeError(f"expected a ModuliSet, not {type(ms).__name__}") from None
+
+
 def make_moduli_set(moduli) -> ModuliSet:
     """Validate and build a ModuliSet, sorting the moduli ascending."""
     return ModuliSet(moduli)
@@ -113,7 +121,7 @@ class ResidueVector:
     mset: ModuliSet
 
     def __post_init__(self):
-        moduli = self.mset.moduli
+        moduli = _moduli(self.mset)
         self.values = tuple(map(index, self.values))
         if len(self.values) != len(moduli):
             raise ValueError(
@@ -170,7 +178,7 @@ class PartialResidueVector:
         self.values = {index(i): index(v) for i, v in dict(self.values).items()}
         if not self.values:
             raise EmptyKnownSet("a partial residue vector needs at least one residue")
-        moduli = self.mset.moduli
+        moduli = _moduli(self.mset)
         for i, v in self.values.items():
             if not 0 <= i < len(moduli):
                 raise ValueError(f"channel index {i} out of range")
@@ -259,12 +267,16 @@ def encode(x: int, ms: ModuliSet) -> ResidueVector:
     modulus and split into channels, as a grouped pass ends: 19 reductions
     of x at that shape, then 139 of remainders of at most 254 bits. Every
     other encode, including all at the default word size, takes one
-    reduction per channel. Raises TypeError for a non-integer x.
+    reduction per channel. Raises TypeError for a non-integer x or an
+    ``ms`` that is not a ModuliSet.
     """
     x = index(x)
-    if x < 0 or x >= ms.product:
-        raise OutOfRange(f"{int_text(x)} is not in [0, {int_text(ms.product)})")
-    groups = ms._groups
+    try:
+        if x < 0 or x >= ms.product:
+            raise OutOfRange(f"{int_text(x)} is not in [0, {int_text(ms.product)})")
+        groups = ms._groups
+    except AttributeError:
+        raise TypeError(f"encode needs a ModuliSet, not {type(ms).__name__}") from None
     if groups is not None and x >= _WIDE:
         return groups.split(encode(x, groups.pass_set))
     return ResidueVector._reduced(tuple(map(mod, repeat(x), ms.moduli)), ms)

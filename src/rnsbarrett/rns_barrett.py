@@ -34,7 +34,7 @@ from .base_extension import base_extend
 from .errors import SetMismatch
 from .quotient import ModuliPartition, _sorted_indices, _stage_partitions
 from .quotient import quotient_by_moduli_product
-from .rns import ChannelGroups, ModuliSet, PartialResidueVector, ResidueVector, encode
+from .rns import ChannelGroups, ModuliSet, PartialResidueVector, ResidueVector, _moduli, encode
 
 
 # The default word size of ``selection``, and the most bits of moduli a
@@ -153,9 +153,10 @@ def make_context(
     On top of the scalar case conditions this enforces the capacity
     condition capacity_factor * h * modulus < M, without which intermediates
     would wrap around M and the residues would stop describing the true
-    integers. Raises ConditionViolation naming whichever condition fails.
+    integers. Raises ConditionViolation naming whichever condition fails,
+    and TypeError unless ``ms`` is a ModuliSet.
     """
-    n = len(ms.moduli)
+    n = len(_moduli(ms))
     g_idx = _sorted_indices(n, g_indices, "g_indices")
     h_idx = _sorted_indices(n, h_indices, "h_indices")
     g = prod((ms.moduli[i] for i in g_idx), start=1)

@@ -12,7 +12,8 @@ word size every group is one channel, so the pass set is the context's
 own set and a pass neither combines nor splits.
 Grouped passes are compared with scalar ``modmul``, the
 one-modulus-at-a-time reference in ``helpers`` and ``pow``, none of which
-groups anything.
+groups anything, and each context's groups and tables are checked by
+``helpers.check_layout``.
 """
 
 import random
@@ -43,56 +44,29 @@ from rnsbarrett import (
     select_context,
     trace_bmm,
 )
-from rnsbarrett.rns import ChannelGroups, PeelRows
-from rnsbarrett.rns_barrett import DEFAULT_WORD_BITS, _group
+from rnsbarrett.selection import DEFAULT_WORD_BITS
 
-from helpers import build, channels, check_pass, coprime_below, operand_pairs
+from helpers import (
+    build,
+    case2_context,
+    channel_groups,
+    channels,
+    check_group_rule,
+    check_layout,
+    check_pass,
+    coprime_below,
+    count_group_calls,
+    groups_of,
+    layout,
+    operand_pairs,
+    partition_rows,
+    registered,
+    to_pass_set,
+)
 
 
 def odd_modulus(bits: int) -> int:
     return random.Random(bits).getrandbits(bits) | 1 << (bits - 1) | 1
-
-
-def roles(ctx) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each role's channels and its indices into the pass set, for a
-    context with disjoint, nonempty g and h: g, h, then x."""
-    g_part, h_part = ctx._g_partition, ctx._h_partition
-    g_ids, h_ids = g_part.divide_rows.peel, h_part.divide_rows.peel
-    x_ids = h_part.extend_rows.peel[len(g_ids):]
-    inside = set(ctx.g_indices) | set(ctx.h_indices)
-    x = tuple(i for i in range(len(ctx.mset.moduli)) if i not in inside)
-    return [(ctx.g_indices, g_ids), (ctx.h_indices, h_ids), (x, x_ids)]
-
-
-def check_group_rule(ms, groups, role_list):
-    """Groups cut each role in order, greedily, at most one default word
-    each; ``role_list`` pairs each role's channels with its pass-set
-    indices, and ``groups`` None means every group is one channel."""
-    moduli = ms.moduli
-    members = [(i,) for i in range(len(moduli))] if groups is None else groups.members
-
-    def bits(group):
-        return sum(moduli[i].bit_length() for i in group)
-
-    for role, ids in role_list:
-        cut = sorted(members[j] for j in ids)
-        assert tuple(chain.from_iterable(cut)) == role
-        for group in cut:
-            assert len(group) == 1 or bits(group) <= DEFAULT_WORD_BITS
-        for group, after in zip(cut, cut[1:]):
-            assert bits(group) + moduli[after[0]].bit_length() > DEFAULT_WORD_BITS
-    if groups is not None:
-        assert groups.channels is ms
-        assert groups.pass_set.moduli == tuple(
-            prod(moduli[i] for i in group) for group in groups.members
-        )
-
-
-def check_groups_respect_g_and_h(ctx):
-    """Every group lies wholly inside or wholly outside g, and h."""
-    for group in ctx._groups.members:
-        for divisor in (set(ctx.g_indices), set(ctx.h_indices)):
-            assert set(group) <= divisor or not set(group) & divisor
 
 
 DEFAULT = {
@@ -105,35 +79,13 @@ DEFAULT = {
 @pytest.mark.parametrize("ctx", DEFAULT.values(), ids=DEFAULT.keys())
 def test_default_contexts_peel_the_channels_tables(ctx):
     # Every group is one channel, so the pass runs on the context's own set
-    # and the tables are the ones built over the channels themselves: g + x
-    # extending to h, h + x extending to g, and the first |g| or |h|
-    # columns of those as the divide rows.
-    ms = ctx.mset
-    g_part, h_part = ctx._g_partition, ctx._h_partition
-    assert ctx._groups is None
-    assert ctx._pass_set is g_part.mset is h_part.mset is ms
-    (g, _), (h, _), (x, _) = roles(ctx)
-    check_group_rule(ms, None, roles(ctx))
-    extend_h = PeelRows(ms.moduli, g + x, h)
-    extend_g = PeelRows(ms.moduli, h + x, g)
-    for rows, want in (
-        (h_part.extend_rows, extend_h),
-        (g_part.extend_rows, extend_g),
-        (g_part.divide_rows, extend_h.head(ms.moduli, len(g))),
-        (h_part.divide_rows, extend_g.head(ms.moduli, len(h))),
-    ):
-        assert (rows.peel, rows.rest) == (want.peel, want.rest)
-        assert rows.columns == want.columns
-        assert rows.width == want.width
-        assert rows.inverses == want.inverses
+    # and its two tables are built over the channels themselves.
+    assert not layout(ctx).grouped
+    check_layout(ctx)
 
 
 def test_default_pass_runs_no_combine_or_split(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a pass over one-channel groups combined or split")
-
-    monkeypatch.setattr(ChannelGroups, "combine", refuse)
-    monkeypatch.setattr(ChannelGroups, "split", refuse)
+    calls = count_group_calls(monkeypatch)
     for name in ("256-case2", "2048-case4"):
         ctx = DEFAULT[name]
         check_pass(ctx, operand_pairs(ctx, 1, 3))
@@ -145,6 +97,7 @@ def test_default_pass_runs_no_combine_or_split(monkeypatch):
     ms = DEFAULT["2048-case2"].mset
     known = {i: 7 for i in range(0, len(ms.moduli), 2)}
     assert base_extend(PartialResidueVector(known, ms)) == encode(7, ms)
+    assert calls == {"combine": 0, "split": 0}
 
 
 # The benchmark's four shapes: N bits, word bits, channels, groups.
@@ -154,18 +107,13 @@ SHAPES = [(256, 30, 19, 5), (2048, 30, 139, 19), (512, 30, 36, 7), (1024, 16, 13
 @pytest.mark.parametrize("bits, word_bits, count, group_count", SHAPES)
 def test_narrow_words_peel_one_digit_per_group(bits, word_bits, count, group_count):
     ctx = select_context(odd_modulus(bits), RangeCase.CASE2, word_bits)
-    g_part, h_part = ctx._g_partition, ctx._h_partition
-    assert g_part.mset is h_part.mset is ctx._pass_set is ctx._groups.pass_set
+    check_layout(ctx)
+    lay = layout(ctx)
     assert len(ctx.mset.moduli) == count
-    assert len(ctx._groups.members) == len(ctx._pass_set.moduli) == group_count
-    check_group_rule(ctx.mset, ctx._groups, roles(ctx))
+    assert len(lay.members) == len(lay.pass_set.moduli) == group_count
     # Two divide-and-extend stages each peel every group once: 38 digits
     # instead of 278 for a 2048-bit N on 30-bit words.
-    digits = sum(
-        len(rows.peel)
-        for part in (g_part, h_part)
-        for rows in (part.divide_rows, part.extend_rows)
-    )
+    digits = sum(len(s.divide.peel) + len(s.extend.peel) for s in (lay.g, lay.h))
     assert digits == 2 * group_count
 
 
@@ -182,14 +130,18 @@ def test_standalone_partitions_follow_the_group_rule(word_bits):
     for divisors in (ctx.g_indices, ctx.h_indices, tuple(range(0, n, 3))):
         rest = tuple(i for i in range(n) if i not in divisors)
         part = ModuliPartition(ms, divisors)
-        assert part.divide_rows.peel == part.extend_rows.rest == divisors
-        assert part.divide_rows.rest == part.extend_rows.peel == rest
-        pass_set, ids, _, groups = _group(ms, divisors, ())
+        divide, extend = partition_rows(part)
+        assert divide.peel == extend.rest == divisors
+        assert divide.rest == extend.peel == rest
+        grouping = groups_of(ms, divisors, ())
+        pass_set, ids = grouping.pass_set, grouping.g
         rest_ids = tuple(j for j in range(len(pass_set.moduli)) if j not in ids)
-        check_group_rule(ms, groups, [(divisors, ids), (rest, rest_ids)])
+        check_group_rule(ms, grouping, divisors, ())
+        assert sorted(i for j in ids for i in grouping.members[j]) == list(divisors)
         grouped = ModuliPartition(pass_set, ids)
-        assert grouped.divide_rows.peel == grouped.extend_rows.rest == ids
-        assert grouped.divide_rows.rest == grouped.extend_rows.peel == rest_ids
+        divide, extend = partition_rows(grouped)
+        assert divide.peel == extend.rest == ids
+        assert divide.rest == extend.peel == rest_ids
         for value in (0, ms.product - 1, rng.randrange(ms.product)):
             q = value // prod(ms.moduli[i] for i in divisors)
             partial = quotient_by_moduli_product(encode(value, ms), part)
@@ -203,36 +155,11 @@ def test_standalone_partitions_follow_the_group_rule(word_bits):
 WORD30 = coprime_below((1 << 30) - 1, 40)
 
 
-def case2_context(g_size: int):
-    """Case 2 over 30-bit moduli with g of ``g_size`` channels; h and x as
-    small as the product and capacity conditions allow."""
-    g_moduli = WORD30[:g_size]
-    modulus = prod(g_moduli) + 12345
-    rest = WORD30[g_size:]
-    h_moduli = []
-    while prod(g_moduli) * prod(h_moduli) < 9 * modulus**2:
-        h_moduli.append(rest.pop(0))
-    x_moduli = []
-    while 9 * prod(h_moduli) * modulus >= prod(g_moduli + h_moduli + x_moduli):
-        x_moduli.append(rest.pop(0))
-    return build(modulus, RangeCase.CASE2, g_moduli, h_moduli, x_moduli)
-
-
 def overlapping_context():
     # g's three channels are in h too: one group inside both g and h.
     g_moduli = WORD30[:3]
     modulus = prod(g_moduli) + 12345
-    h_moduli = g_moduli + WORD30[3:4]
-    x_moduli = WORD30[4:8]
-    ms = make_moduli_set(h_moduli + x_moduli)
-    where = {m: i for i, m in enumerate(ms.moduli)}
-    return make_context(
-        ms,
-        modulus,
-        sorted(where[m] for m in g_moduli),
-        sorted(where[m] for m in h_moduli),
-        RangeCase.CASE2,
-    )
+    return build(modulus, RangeCase.CASE2, g_moduli, g_moduli + WORD30[3:4], WORD30[4:8])
 
 
 def unit_g_context():
@@ -248,12 +175,12 @@ def narrow_g_context(bits: int, narrow_bits: int):
     ctx = select_context(odd_modulus(bits), RangeCase.CASE2, 30)
     assert ctx.mset.moduli[0].bit_length() == narrow_bits
     assert ctx.g_indices[0] == 0
-    assert next(group for group in ctx._groups.members if 0 in group)[0] == 0
+    assert next(group for group in layout(ctx).members if 0 in group)[0] == 0
     return ctx
 
 
 # g of 1 to 9 channels ends a group after every position of a group of 8.
-GROUPED = {f"g{size}": case2_context(size) for size in range(1, 10)}
+GROUPED = {f"g{size}": case2_context(WORD30, size) for size in range(1, 10)}
 GROUPED["narrow-g-21"] = narrow_g_context(261, 21)
 GROUPED["narrow-g-5"] = narrow_g_context(275, 5)
 GROUPED["unit-g"] = unit_g_context()
@@ -262,8 +189,8 @@ GROUPED["overlapping"] = overlapping_context()
 
 @pytest.mark.parametrize("ctx", GROUPED.values(), ids=GROUPED.keys())
 def test_grouped_passes_match_scalar_modmul_and_pow(ctx):
-    assert ctx._groups is not None
-    check_groups_respect_g_and_h(ctx)
+    assert layout(ctx).grouped
+    check_layout(ctx)
     check_pass(ctx, operand_pairs(ctx, len(ctx.mset.moduli), 8))
     ms = ctx.mset
     n = ctx.params.modulus
@@ -279,7 +206,7 @@ def test_group_boundaries_fall_at_every_position():
     last = set()
     for size in range(1, 10):
         ctx = GROUPED[f"g{size}"]
-        cut = sorted(channels(ctx, (j,)) for j in ctx._g_partition.divisor_indices)
+        cut = sorted(channels(ctx, (j,)) for j in layout(ctx).g.divisor)
         last.add(len(cut[-1]))
         assert sum(map(len, cut)) == size
     assert last == set(range(1, 9))
@@ -287,17 +214,7 @@ def test_group_boundaries_fall_at_every_position():
 
 @pytest.fixture
 def group_calls(monkeypatch):
-    """Counts every ``ChannelGroups.combine`` and ``split`` call."""
-    calls = {"combine": 0, "split": 0}
-    for name in calls:
-        original = getattr(ChannelGroups, name)
-
-        def counted(self, values, name=name, original=original):
-            calls[name] += 1
-            return original(self, values)
-
-        monkeypatch.setattr(ChannelGroups, name, counted)
-    return calls
+    return count_group_calls(monkeypatch)
 
 
 def test_grouped_bmm_combines_once_and_splits_once(group_calls):
@@ -333,18 +250,17 @@ def test_grouped_modexp_combines_once_and_splits_once(group_calls):
 
 @pytest.mark.parametrize("ctx", GROUPED.values(), ids=GROUPED.keys())
 def test_pass_set_operands_skip_the_combine_and_the_split(ctx):
-    groups = ctx._groups
     ms = ctx.mset
     limit = ctx.params.input_limit
     rng = random.Random(limit)
     for x, y in [(limit - 1, limit - 2), (rng.randrange(limit), rng.randrange(limit))]:
         a, b = encode(x, ms), encode(y, ms)
-        pa, pb = groups.combine(a.values), groups.combine(b.values)
-        assert pa.mset is ctx._pass_set
-        assert bmm(pa, pb, ctx) == groups.combine(bmm(a, b, ctx).values)
+        pa, pb = to_pass_set(ctx, a), to_pass_set(ctx, b)
+        assert pa.mset is layout(ctx).pass_set
+        assert bmm(pa, pb, ctx) == to_pass_set(ctx, bmm(a, b, ctx))
         assert trace_bmm(pa, pb, ctx) == trace_bmm(a, b, ctx)
     e = rng.getrandbits(64) | 1 << 63
-    assert bmm_modexp(pa, e, ctx) == groups.combine(bmm_modexp(a, e, ctx).values)
+    assert bmm_modexp(pa, e, ctx) == to_pass_set(ctx, bmm_modexp(a, e, ctx))
 
 
 def test_grouped_bmm_refuses_foreign_operands():
@@ -356,11 +272,11 @@ def test_grouped_bmm_refuses_foreign_operands():
     # A pass-set vector of another context on the same channels whose g
     # and h group them differently: as many group moduli, not the same.
     other = make_context(ms, ctx.params.modulus, (5, 6, 7), (0, 1, 2, 3), RangeCase.CASE2)
-    assert len(other._pass_set.moduli) == len(ctx._pass_set.moduli)
-    assert other._pass_set != ctx._pass_set
-    regrouped = other._groups.combine(b.values)
+    pass_set, other_set = layout(ctx).pass_set, layout(other).pass_set
+    assert len(other_set.moduli) == len(pass_set.moduli) and other_set != pass_set
+    regrouped = to_pass_set(other, b)
     # One operand on the channels, the other on the pass set.
-    p = ctx._groups.combine(b.values)
+    p = to_pass_set(ctx, b)
     for x, y in ((a, b), (b, a), (a, a), (b, p), (p, b), (regrouped, p), (p, regrouped)):
         with pytest.raises(SetMismatch):
             bmm(x, y, ctx)
@@ -376,7 +292,7 @@ def test_bmm_refuses_a_partial_operand(word_bits):
     # at every word size both passes raise TypeError, never a wrong C.
     ctx = select_context(odd_modulus(256), RangeCase.CASE2, word_bits)
     ms = ctx.mset
-    assert (ctx._groups is None) == (word_bits == DEFAULT_WORD_BITS)
+    assert layout(ctx).grouped == (word_bits < DEFAULT_WORD_BITS)
     partial = PartialResidueVector(dict(enumerate(encode(12345, ms).values)), ms)
     whole = encode(678, ms)
     for a, b in ((partial, whole), (whole, partial)):
@@ -393,44 +309,27 @@ def test_mu_and_n_channel_views_are_their_encodings(word_bits):
     for bits in (96,) if word_bits == 8 else (96, 512):
         for case in RangeCase:
             ctx = select_context(odd_modulus(bits), case, word_bits)
+            lay = layout(ctx)
             assert ctx.mu_rv == encode(ctx.params.mu, ctx.mset)
             assert ctx.n_rv == encode(ctx.params.modulus, ctx.mset)
-            assert ctx._mu == encode(ctx.params.mu, ctx._pass_set)
-            assert ctx._n == encode(ctx.params.modulus, ctx._pass_set)
-            assert word_bits < DEFAULT_WORD_BITS or ctx._groups is None
+            assert lay.mu == encode(ctx.params.mu, lay.pass_set)
+            assert lay.n == encode(ctx.params.modulus, lay.pass_set)
+            assert word_bits < DEFAULT_WORD_BITS or not lay.grouped
 
 
-def narrow_edge_context(word_bits: int, g_count: int, shared: int):
-    """Case 2 over ``word_bits``-bit moduli with g of ``g_count`` channels,
-    the last ``shared`` of them also in h (g = 1 when ``g_count`` is 0)."""
-    pool = coprime_below((1 << word_bits) - 1, 48)
-    g_moduli = pool[:g_count]
-    modulus = prod(pool[: max(g_count, 2)]) + 12345
-    rest = pool[g_count:]
-    h_moduli = g_moduli[g_count - shared:] if shared else []
-    while prod(g_moduli) * prod(h_moduli) < 9 * modulus**2:
-        h_moduli.append(rest.pop(0))
-    x_moduli = []
-    while 9 * prod(h_moduli) * modulus >= prod({*g_moduli, *h_moduli, *x_moduli}):
-        x_moduli.append(rest.pop(0))
-    ms = make_moduli_set(sorted({*g_moduli, *h_moduli, *x_moduli}))
-    where = {m: i for i, m in enumerate(ms.moduli)}
-    return make_context(
-        ms,
-        modulus,
-        sorted(where[m] for m in g_moduli),
-        sorted(where[m] for m in h_moduli),
-        RangeCase.CASE2,
-    )
+def pool(word_bits: int) -> list[int]:
+    return coprime_below((1 << word_bits) - 1, 48)
 
 
 NARROW_EDGES = {
-    f"{word_bits}-{name}": narrow_edge_context(word_bits, g_count, shared)
+    # Case 2 over word_bits-bit moduli, the last `shared` channels of g also
+    # in h; g = 1 when g_count is 0.
+    f"{word_bits}-{name}": case2_context(pool(word_bits), g_count, shared)
     for word_bits, g_count in ((8, 6), (16, 4), (30, 3), (62, 2))
     for name, shared in (("g-in-h", g_count), ("g-half-in-h", g_count // 2))
 }
 NARROW_EDGES.update(
-    (f"{word_bits}-unit-g", narrow_edge_context(word_bits, 0, 0)) for word_bits in (8, 16, 30, 62)
+    (f"{word_bits}-unit-g", case2_context(pool(word_bits), 0)) for word_bits in (8, 16, 30, 62)
 )
 
 
@@ -438,8 +337,8 @@ NARROW_EDGES.update(
 def test_narrow_overlapping_and_unit_g_contexts(ctx):
     g, h = set(ctx.g_indices), set(ctx.h_indices)
     assert not g or g & h
-    assert ctx._groups is not None
-    check_groups_respect_g_and_h(ctx)
+    assert layout(ctx).grouped
+    check_layout(ctx)
     check_pass(ctx, operand_pairs(ctx, len(ctx.mset.moduli), 8))
 
 
@@ -477,14 +376,14 @@ def grouped_sets(draw):
         if cut:
             members.append([])
         members[-1].append(i)
-    return ChannelGroups(ms, members)
+    return channel_groups(ms, members)
 
 
 @settings(max_examples=200, deadline=None)
 @given(groups=grouped_sets(), data=st.data())
 def test_channel_groups_round_trip_any_partition(groups, data):
     ms, pass_set = groups.channels, groups.pass_set
-    assert pass_set.product == ms.product and pass_set._groups is None
+    assert pass_set.product == ms.product and registered(pass_set) is None
     assert sorted(chain.from_iterable(groups.members)) == list(range(len(ms)))
     x = data.draw(st.integers(0, ms.product - 1))
     rv = encode(x, ms)

@@ -1,11 +1,11 @@
 """Encoding: wide operands through a context's channel groups, and integer-only input.
 
-A context whose narrow channels fall into groups registers its
-``ChannelGroups`` on its channel set, and an operand of at least
-``_WIDE`` (2**1024) on that set is reduced once per group modulus, a run
-of channels of one role, then split into channels. Every encode is
-compared with one reduction per modulus, on registered sets, on sets no
-context has seen, and on pass sets.
+A context whose narrow channels fall into groups registers its groups on
+its channel set, and an operand of at least ``helpers.WIDE`` (2**1024) on
+that set is reduced once per group modulus, the product of channels of
+one role, then split into channels. Every encode is compared with one
+reduction per modulus, on registered sets, on sets no context has seen,
+and on pass sets.
 """
 
 import random
@@ -29,9 +29,8 @@ from rnsbarrett import (
     make_moduli_set,
     select_context,
 )
-from rnsbarrett.rns import _WIDE, ChannelGroups
 
-from helpers import coprime_below
+from helpers import WIDE, coprime_below, count_group_calls, layout, registered
 
 EX_SET = make_moduli_set([3, 5, 7])
 
@@ -73,17 +72,17 @@ SETS["wide-tail"] = _thirty_bit_moduli_and([1 << 512, (1 << 521) - 1], 50)
 
 
 def _probes(ms, rng):
-    """Values below M on both sides of ``_WIDE``, and around each group
+    """Values below M on both sides of ``WIDE``, and around each group
     modulus and each prefix product of them if ``ms`` has groups."""
-    probes = {0, 1, _WIDE - 1, _WIDE, ms.product - 1}
-    if ms._groups is not None:
+    probes = {0, 1, WIDE - 1, WIDE, ms.product - 1}
+    if registered(ms) is not None:
         place = 1
-        for p in ms._groups.pass_set.moduli:
+        for p in registered(ms).pass_set.moduli:
             place *= p
             for edge in (p, place):
                 probes.update((edge - 1, edge, edge + 1))
     probes.update(rng.randrange(ms.product) for _ in range(20))
-    probes.update(rng.randrange(_WIDE, ms.product) for _ in range(20) if _WIDE < ms.product)
+    probes.update(rng.randrange(WIDE, ms.product) for _ in range(20) if WIDE < ms.product)
     return sorted(x for x in probes if 0 <= x < ms.product)
 
 
@@ -98,11 +97,13 @@ def _regroupable(bits: int):
     ctx = select_context(_odd(bits), RangeCase.CASE2, 30)
     n, g, h = ctx.params.modulus, ctx.g_indices, ctx.h_indices
     other = make_context(ModuliSet(ctx.mset.moduli), n, g[1:], h, RangeCase.CASE1)
-    assert other._groups.members != ctx._groups.members
+    assert layout(other).members != layout(ctx).members
     return ModuliSet(ctx.mset.moduli), [(n, g, h, RangeCase.CASE2), (n, g[1:], h, RangeCase.CASE1)]
 
 
 class TestRuns:
+    """Groups a context registered on a set, and the wide encodes they serve."""
+
     @pytest.mark.parametrize("ms", SETS.values(), ids=SETS.keys())
     def test_matches_one_reduction_per_modulus(self, ms):
         # The set as built, the same moduli with no context, and the set's
@@ -111,22 +112,21 @@ class TestRuns:
         probes = _probes(ms, rng)
         _check_encodes(ms, probes)
         _check_encodes(ModuliSet(ms.moduli), probes)
-        if ms._groups is not None:
-            pass_set = ms._groups.pass_set
-            assert pass_set._groups is None
+        if registered(ms) is not None:
+            pass_set = registered(ms).pass_set
+            assert registered(pass_set) is None
             _check_encodes(pass_set, probes)
 
     @pytest.mark.parametrize("name", SETS)
     def test_runs_cover_the_moduli_in_order(self, name):
         # A set gets groups from the narrow-word context built on it; each
-        # group is a run of ascending channels whose moduli multiply to its
-        # group modulus, and the groups cover every channel once.
+        # group holds ascending channels whose moduli multiply to its group
+        # modulus, and the groups cover every channel once.
         ms = SETS[name]
-        groups = ms._groups
+        groups = registered(ms)
         assert (groups is not None) == (name in WORD_BITS and WORD_BITS[name][1] < 254)
         if groups is None:
             return
-        assert groups.channels is ms
         covered = sorted(i for group in groups.members for i in group)
         assert covered == list(range(len(ms)))
         for group, p in zip(groups.members, groups.pass_set.moduli):
@@ -135,45 +135,40 @@ class TestRuns:
         assert groups.pass_set.product == ms.product
         assert len(groups.members) < len(ms)
 
-    def test_wide_moduli_get_no_runs(self):
+    def test_wide_moduli_get_no_groups(self):
         # At 254-bit words and wider every group is one channel, so no
         # context registers groups and a wide encode reduces per channel.
         for name in ("2048-254", "4096-1024"):
             ms = SETS[name]
             x = ms.product - 1
             assert encode(x, ms).values == tuple(x % m for m in ms.moduli)
-            assert ms._groups is None
+            assert registered(ms) is None
 
     def test_wide_encodes_split_through_the_registered_groups(self, monkeypatch):
-        splits = []
-        original = ChannelGroups.split
-
-        def counted(self, rv):
-            splits.append(self)
-            return original(self, rv)
-
-        monkeypatch.setattr(ChannelGroups, "split", counted)
+        calls = count_group_calls(monkeypatch)
         ctx = select_context(_odd(2048), RangeCase.CASE2, 30)
-        ms = ctx.mset
-        assert ms._groups is ctx._groups and ctx._pass_set._groups is None
+        ms, pass_set = ctx.mset, layout(ctx).pass_set
+        groups = registered(ms)
+        assert groups.pass_set is pass_set and groups.members == layout(ctx).members
+        assert registered(pass_set) is None
         fresh = ModuliSet(ms.moduli)
-        assert fresh._groups is None
+        assert registered(fresh) is None
         for target, x, count in (
-            (ms, _WIDE - 1, 0),
-            (ms, _WIDE, 1),
+            (ms, WIDE - 1, 0),
+            (ms, WIDE, 1),
             (ms, ms.product - 1, 1),
             (fresh, ms.product - 1, 0),
-            (ctx._pass_set, ms.product - 1, 0),
+            (pass_set, ms.product - 1, 0),
         ):
-            del splits[:]
+            calls["split"] = 0
             assert encode(x, target).values == tuple(x % m for m in target.moduli)
-            assert splits == [ctx._groups] * count
+            assert calls["split"] == count
         # A later context on the set keeps the first one's groups; a
         # context at the default word size registers none.
         again = make_context(ms, ctx.params.modulus, ctx.g_indices, ctx.h_indices, RangeCase.CASE2)
-        assert again._groups is not ctx._groups and ms._groups is ctx._groups
+        assert layout(again).pass_set is not pass_set and registered(ms).pass_set is pass_set
         default = select_context(ctx.params.modulus, RangeCase.CASE2)
-        assert default._groups is None and default.mset._groups is None
+        assert not layout(default).grouped and registered(default.mset) is None
 
     def test_concurrent_first_encodes_agree(self):
         # Threads build contexts with two different groupings on shared
@@ -208,19 +203,19 @@ class TestRuns:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
         for ms, specs in shared:
-            built = [make_context(ModuliSet(ms.moduli), *spec)._groups for spec in specs]
-            assert ms._groups.members in [groups.members for groups in built]
-            _check_encodes(ms, [_WIDE, ms.product - 1])
+            built = [layout(make_context(ModuliSet(ms.moduli), *spec)) for spec in specs]
+            assert registered(ms).members in [lay.members for lay in built]
+            _check_encodes(ms, [WIDE, ms.product - 1])
 
-    def test_first_wide_encode_retains_the_runs_only(self):
+    def test_first_wide_encode_retains_nothing(self):
         # 139 moduli of 30 bits, as at a 2048-bit modulus. A set with no
         # context reduces per channel and a registered one splits through
         # the groups its context built, so neither first wide encode keeps
         # anything.
-        registered = select_context(_odd(2048), RangeCase.CASE2, 30).mset
-        assert len(registered) == 139 and registered._groups is not None
-        for ms in (make_moduli_set(coprime_below((1 << 30) - 1, 139)), registered):
-            groups = ms._groups
+        grouped = select_context(_odd(2048), RangeCase.CASE2, 30).mset
+        assert len(grouped) == 139 and registered(grouped) is not None
+        for ms in (make_moduli_set(coprime_below((1 << 30) - 1, 139)), grouped):
+            groups = registered(ms)
             x = ms.product - 1
             tracemalloc.start()
             try:
@@ -229,7 +224,7 @@ class TestRuns:
                 retained = tracemalloc.get_traced_memory()[0] - before
             finally:
                 tracemalloc.stop()
-            assert ms._groups is groups
+            assert registered(ms) == groups
             assert retained <= 1600
 
 

@@ -22,7 +22,7 @@ from rnsbarrett import (
 )
 from rnsbarrett.modexp import MAX_WIDTH, window_plan
 
-from helpers import coprime_below, random_context
+from helpers import coprime_below, crt_weights, layout, random_context
 
 
 def case2_context():
@@ -136,8 +136,9 @@ def test_final_result_refuses_a_vector_of_another_set():
     # A result left on a grouped context's pass set is accepted.
     grouped = select_context((1 << 255) + 95, RangeCase.CASE2, 30)
     n = grouped.params.modulus
-    y = bmm_modexp(encode(n - 1, grouped._pass_set), 65537, grouped)
-    assert y.mset is grouped._pass_set
+    pass_set = layout(grouped).pass_set
+    y = bmm_modexp(encode(n - 1, pass_set), 65537, grouped)
+    assert y.mset is pass_set
     assert final_result(y, grouped) == pow(n - 1, 65537, n)
 
 
@@ -194,7 +195,7 @@ def test_exponents_zero_and_one_make_no_pass(passes):
     # combined into the pass set.
     n = random.Random(30).getrandbits(256) | 1 << 255 | 1
     grouped = select_context(n, RangeCase.CASE2, 30)
-    assert grouped._groups is not None
+    assert layout(grouped).grouped
     for ctx in (case2_context(), grouped):
         x = encode(20, ctx.mset)
         assert bmm_modexp(x, 0, ctx) == encode(1, ctx.mset)
@@ -279,8 +280,9 @@ def test_checked_chain_against_pow_at_every_word_size(word_bits, case):
     bits = 96 if word_bits == 8 else 512
     n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
     ctx = select_context(n, case, word_bits)
-    assert (ctx._groups is None) == (word_bits == 254)
-    assert ctx._pass_set._crt_weights is None
+    pass_set = layout(ctx).pass_set
+    assert layout(ctx).grouped == (word_bits < 254)
+    assert crt_weights(pass_set) is None
     limit = ctx.params.input_limit
     exponents = [2, 3, 65537, rng.getrandbits(64), rng.getrandbits(64) | 1 << 63]
     for e in exponents:
@@ -289,7 +291,7 @@ def test_checked_chain_against_pow_at_every_word_size(word_bits, case):
         assert y.mset is ctx.mset
         assert decode_crt(y) < limit
         assert final_result(y, ctx) == pow(x, e, n), e
-    assert ctx._pass_set._crt_weights is not None
+    assert crt_weights(pass_set) is not None
 
 
 def test_check_intermediates_covers_the_table(monkeypatch):

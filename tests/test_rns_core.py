@@ -30,10 +30,20 @@ from rnsbarrett import (
     select_context,
     trace_bmm,
 )
-from rnsbarrett.rns import PeelRows
-from rnsbarrett.rns_barrett import _group
 
-from helpers import COPRIME_POOL, coprime_below, garner, to_mixed_radix
+from helpers import (
+    COPRIME_POOL,
+    check_rows,
+    coprime_below,
+    crt_weights,
+    garner,
+    groups_of,
+    partition_rows,
+    partitions,
+    peel_rows,
+    refuse_peeling,
+    to_mixed_radix,
+)
 
 EX_SET = make_moduli_set([4, 5, 7, 11])
 WORD30_SET = make_moduli_set(
@@ -135,45 +145,24 @@ class TestModuliSet:
         # channels of the ex, word30, word62, word64 and wide sets, and the
         # pass sets a context over each would run on, whose moduli are
         # groups of channels with bit lengths adding up to at most 254.
-        partitions = [ModuliPartition(EX_SET, sub) for sub in ((0,), (1, 3), (0, 1, 2))]
+        parts = [ModuliPartition(EX_SET, sub) for sub in ((0,), (1, 3), (0, 1, 2))]
         for ms in (WORD30_SET, WORD62_SET, WORD64_SET):
-            partitions += [ModuliPartition(ms, sub) for sub in ((2,), (0, 3), (1, 2, 4))]
-        partitions += [ModuliPartition(WIDE_SET, sub) for sub in ((0,), (1, 3), (0, 1, 2))]
+            parts += [ModuliPartition(ms, sub) for sub in ((2,), (0, 3), (1, 2, 4))]
+        parts += [ModuliPartition(WIDE_SET, sub) for sub in ((0,), (1, 3), (0, 1, 2))]
         for ms in (EX_SET, WORD30_SET, WORD62_SET, WORD64_SET, WIDE_SET):
-            pass_set, g_ids, h_ids, groups = _group(ms, (0, 3), (1, 2))
-            assert groups is not None and len(pass_set.moduli) < len(ms.moduli)
-            partitions += [ModuliPartition(pass_set, g_ids), ModuliPartition(pass_set, h_ids)]
-        for part in partitions:
+            pass_set, _, g_ids, h_ids = groups_of(ms, (0, 3), (1, 2))
+            assert len(pass_set.moduli) < len(ms.moduli)
+            parts += [ModuliPartition(pass_set, g_ids), ModuliPartition(pass_set, h_ids)]
+        for part in parts:
             moduli = part.mset.moduli
             rest_indices = tuple(
                 i for i in range(len(moduli)) if i not in part.divisor_indices
             )
-            for rows, peel, rest in (
-                (part.divide_rows, part.divisor_indices, rest_indices),
-                (part.extend_rows, rest_indices, part.divisor_indices),
-            ):
-                assert rows.peel == peel
-                assert rows.rest == rest
-                peeled = [moduli[k] for k in rows.peel]
-                rest = [moduli[i] for i in rows.rest]
-                count = len(peeled)
-                width = rows.width
-                bound = (count * (max(moduli) - 1) ** 2).bit_length()
-                assert width == (bound + 7) // 8 * 8
-                assert len(rows.columns) == count
-                for l, column in enumerate(rows.columns):
-                    targets = peeled[l + 1:] + rest
-                    assert column >> (width * len(targets)) == 0
-                    for i, m in enumerate(targets):
-                        lane = column >> (width * i) & ((1 << width) - 1)
-                        assert lane == prod(peeled[:l]) % m
-                for j, m in enumerate(peeled):
-                    assert rows.inverses[j] * prod(peeled[:j]) % m == 1
-                for i, m in enumerate(rest):
-                    assert rows.inverses[count + i] * prod(peeled) % m == 1
-                assert type(rows.inverses) is tuple
-                assert len(rows.inverses) == count + len(rest)
-                assert not hasattr(rows, "products")
+            divide, extend = partition_rows(part)
+            assert (divide.peel, divide.rest) == (part.divisor_indices, rest_indices)
+            assert (extend.peel, extend.rest) == (rest_indices, part.divisor_indices)
+            check_rows(moduli, divide)
+            check_rows(moduli, extend)
 
     @pytest.mark.parametrize(
         "moduli",
@@ -183,28 +172,22 @@ class TestModuliSet:
             WORD62_SET.moduli,
             WIDE_SET.moduli,
             # Group products, then wider moduli: not ascending.
-            _group(WORD30_SET, (1, 3), ())[0].moduli + WIDE_SET.moduli[1:3],
+            groups_of(WORD30_SET, (1, 3), ()).pass_set.moduli + WIDE_SET.moduli[1:3],
         ],
         ids=["ex", "word30", "word62", "wide", "groups"],
     )
     def test_head_every_prefix(self, moduli):
-        # ``head(moduli, k)`` for every k: the first k inverses are P_j^-1
-        # mod p_j, every later one P_k^-1 mod its channel, computed directly
-        # here; inverses are a tuple at every width.
+        # ``head(moduli, k)`` for every k keeps the table's width, and its
+        # lanes and inverses are their definitions: the first k inverses are
+        # P_j^-1 mod p_j, every later one P_k^-1 mod its channel, in a tuple
+        # at every width.
         n = len(moduli)
         for peel, rest in ((tuple(range(n)), ()), ((3, 0, 2), (1,)), ((n - 1, 1), (0, 2))):
-            table = PeelRows(moduli, peel, rest)
+            width = peel_rows(moduli, peel, rest).lane_bits
             for k in range(len(peel) + 1):
-                rows = table.head(moduli, k)
-                assert rows.peel == peel[:k]
-                assert rows.rest == peel[k:] + rest
-                place = prod(moduli[i] for i in rows.peel)
-                want = [
-                    pow(prod(moduli[i] for i in peel[:j]), -1, moduli[peel[j]])
-                    for j in range(k)
-                ] + [pow(place, -1, moduli[i]) for i in rows.rest]
-                assert list(rows.inverses) == want
-                assert type(rows.inverses) is tuple
+                rows = peel_rows(moduli, peel, rest, k)
+                assert (rows.peel, rows.rest) == (peel[:k], peel[k:] + rest)
+                check_rows(moduli, rows, width)
 
     def test_retains_no_full_width_state_per_channel(self):
         # 139 moduli of 30 bits, as at a 2048-bit modulus: the product is the
@@ -284,14 +267,14 @@ class TestEncodeDecode:
 
     def test_weights_are_computed_once_per_set(self):
         ms = make_moduli_set(coprime_below((1 << 30) - 1, 19))
-        assert ms._crt_weights is None
+        assert crt_weights(ms) is None
         rng = random.Random(19)
         x, y = rng.randrange(ms.product), rng.randrange(ms.product)
         assert decode_crt(encode(x, ms)) == x
-        weights = ms._crt_weights
+        weights = crt_weights(ms)
         assert weights == weights_reference(ms)
         assert decode_crt(encode(y, ms)) == y
-        assert ms._crt_weights is weights
+        assert crt_weights(ms) is weights
 
     def test_first_decode_retains_one_word_per_channel(self):
         # 139 moduli of 30 bits, as at a 2048-bit modulus: the weights are
@@ -306,7 +289,7 @@ class TestEncodeDecode:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(ms._crt_weights) == 139
+        assert len(crt_weights(ms)) == 139
         assert retained <= 8 * 1024
 
     def test_concurrent_first_decodes_agree(self):
@@ -335,7 +318,7 @@ class TestEncodeDecode:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
         for ms in sets:
-            assert ms._crt_weights == weights_reference(ms)
+            assert crt_weights(ms) == weights_reference(ms)
 
 
 class TestElementwise:
@@ -393,7 +376,7 @@ class TestValueTypes:
             base_extend(partial),
             ctx,
             ctx.params,
-            ctx._h_partition,
+            partitions(ctx)[1],
             trace,
             *(getattr(trace, field.name) for field in fields(trace)),
         ]
@@ -421,7 +404,7 @@ class TestValueTypes:
         hashable = [
             (ctx.mu_rv, twin.mu_rv),
             (ctx.params, twin.params),
-            (ctx._h_partition, twin._h_partition),
+            (partitions(ctx)[1], partitions(twin)[1]),
             (ctx, twin),
         ]
         for value, equal in hashable:
@@ -451,13 +434,9 @@ class TestMixedRadix:
 
     def test_decoders_build_no_peel_table(self, monkeypatch):
         # Decoding is one Garner loop, so the peel-digit comparisons in the
-        # base-extension tests check ``rns._peel`` against an independent
+        # base-extension tests check the peel against an independent
         # algorithm.
-        def refuse(*args, **kwargs):
-            raise AssertionError("decoding reached the peel machinery")
-
-        monkeypatch.setattr("rnsbarrett.rns.PeelRows", refuse)
-        monkeypatch.setattr("rnsbarrett.rns._peel", refuse)
+        refuse_peeling(monkeypatch)
         for ms in DECODE_SETS.values():
             rv = encode(ms.product - 1, ms)
             assert decode_crt(rv) == ms.product - 1

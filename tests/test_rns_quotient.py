@@ -16,11 +16,12 @@ from rnsbarrett import (
     make_moduli_set,
     quotient_by_moduli_product,
 )
-from rnsbarrett.rns_barrett import _group
 
 from helpers import (
     COPRIME_POOL,
     divisor_product,
+    groups_of,
+    partition_rows,
     peel_division,
     remaining_indices,
 )
@@ -34,15 +35,15 @@ class TestPartition:
         # A partition peels the moduli of its own set. The moduli are
         # narrow, so a pass with g and h these two sides would run on two
         # groups; the grouping lives in the context's pass set.
-        assert _group(EX_SET, (0, 1), (2, 3))[3].members == ((0, 1), (2, 3))
-        divide, extend = part.divide_rows, part.extend_rows
+        assert groups_of(EX_SET, (0, 1), (2, 3)).members == ((0, 1), (2, 3))
+        divide, extend = partition_rows(part)
         assert divide.peel == extend.rest == (0, 1)
         assert divide.rest == extend.peel == (2, 3)
 
     def test_non_prefix_subset(self):
         part = ModuliPartition(EX_SET, (2, 0))
         assert part.divisor_indices == (0, 2)
-        assert part.divide_rows.peel == (0, 2)
+        assert partition_rows(part)[0].peel == (0, 2)
 
     def test_rejects_bad_subsets(self):
         with pytest.raises(ValueError):

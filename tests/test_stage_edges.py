@@ -32,13 +32,18 @@ from rnsbarrett import (
     trace_bmm,
 )
 from rnsbarrett.barrett import capacity_condition
-from rnsbarrett.rns import PeelRows, _peel
 
 from helpers import (
+    check_rows,
     divisor_product,
+    layout,
+    partition_rows,
+    partitions,
     peel_division,
+    peel_rows,
     reference_peel,
     remaining_indices,
+    run_peel,
 )
 
 EX_SET = make_moduli_set([4, 5, 7, 11])
@@ -153,33 +158,15 @@ def test_word_bits_62():
     check_stages(ModuliPartition(ctx.mset, ctx.h_indices), rng)
 
 
-def lanes(value: int, width: int, count: int) -> list[int]:
-    """The low ``count`` lanes of a packed integer; nothing may sit above."""
-    assert value >> (width * count) == 0
-    return [value >> (width * i) & ((1 << width) - 1) for i in range(count)]
-
-
 def test_moduli_wider_than_64_bits():
     ctx = make_context(WIDE_SET, (1 << 100) + 277, (0,), (2, 3), RangeCase.CASE2)
     # Groups hold up to 254 bits: the pass set takes h's 107 + 127 bits as
-    # one modulus. Partitions built on their own peel the channels.
-    assert [m.bit_length() for m in ctx._pass_set.moduli] == [61, 89, 234]
-    for part in (
-        ModuliPartition(WIDE_SET, (0,)),
-        ModuliPartition(WIDE_SET, (2, 3)),
-        ctx._g_partition,
-        ctx._h_partition,
-    ):
-        moduli = part.mset.moduli
-        for rows in (part.divide_rows, part.extend_rows):
-            assert type(rows.inverses) is tuple
-            peeled = [moduli[k] for k in rows.peel]
-            targets = peeled + [moduli[i] for i in rows.rest]
-            for l, column in enumerate(rows.columns):
-                expected = [prod(peeled[:l]) % m for m in targets[l + 1:]]
-                assert lanes(column, rows.width, len(expected)) == expected
-            for j, m in enumerate(targets):
-                assert rows.inverses[j] * prod(peeled[:j]) % m == 1
+    # one modulus. Partitions built on their own peel the channels; the
+    # context's own tables are checked as ``test_shared_tables.SHARED["wide"]``.
+    assert [m.bit_length() for m in layout(ctx).pass_set.moduli] == [61, 89, 234]
+    for part in (ModuliPartition(WIDE_SET, (0,)), ModuliPartition(WIDE_SET, (2, 3))):
+        for rows in partition_rows(part):
+            check_rows(WIDE_SET.moduli, rows)
     check_bmm(ctx, random.Random(64))
 
 
@@ -222,9 +209,7 @@ def test_trace_rows_are_the_public_stages(ctx):
 
 def split_on_channels(ctx, partial) -> dict:
     """A pass-set partial vector's residues on its groups' channels."""
-    if ctx._groups is None:
-        return dict(partial.values)
-    moduli, members = ctx.mset.moduli, ctx._groups.members
+    moduli, members = ctx.mset.moduli, layout(ctx).members
     return {i: r % moduli[i] for j, r in partial.values.items() for i in members[j]}
 
 
@@ -250,24 +235,25 @@ def test_trace_partials_hold_the_channels_outside_their_divisors(ctx):
     # Each partial holds exactly the channels outside its divisor, and on
     # them the pass-set quotient split into channels here, and the exact
     # quotient of the integers.
-    ms, pass_set, p = ctx.mset, ctx._pass_set, ctx.params
+    ms, lay, p = ctx.mset, layout(ctx), ctx.params
+    g_part, h_part = partitions(ctx)
     top = p.input_limit - 1
     tr = trace_bmm(encode(top, ms), encode(top, ms), ctx)
     for partial, divisor in ((tr.d_partial, ctx.g_indices), (tr.q_partial, ctx.h_indices)):
         assert partial.mset is ms
         assert sorted(partial.values) == [i for i in range(len(ms)) if i not in divisor]
     x = top * top
-    d, x_on_pass = x // p.g, encode(x, pass_set)
-    if ctx._g_partition is None:
+    d, x_on_pass = x // p.g, encode(x, lay.pass_set)
+    if g_part is None:
         assert tr.d_partial.values == dict(enumerate(tr.x.values))
         d_full = x_on_pass
     else:
-        d_partial = quotient_by_moduli_product(x_on_pass, ctx._g_partition)
+        d_partial = quotient_by_moduli_product(x_on_pass, g_part)
         assert tr.d_partial.values == split_on_channels(ctx, d_partial)
         d_full = base_extend(d_partial)
     assert tr.d_partial.values == {i: d % ms.moduli[i] for i in tr.d_partial.values}
     e = d * p.mu
-    q_partial = quotient_by_moduli_product(d_full * ctx._mu, ctx._h_partition)
+    q_partial = quotient_by_moduli_product(d_full * lay.mu, h_part)
     assert tr.q_partial.values == split_on_channels(ctx, q_partial)
     assert tr.q_partial.values == {i: e // p.h % ms.moduli[i] for i in tr.q_partial.values}
 
@@ -281,9 +267,9 @@ def peel_sets(n: int):
 
 def group_moduli(word_bits: int, bits: int) -> tuple:
     """The group moduli of a selected context's pass set."""
-    ctx = select_context((1 << (bits - 1)) + 95, RangeCase.CASE2, word_bits)
-    assert max(map(len, ctx._groups.members)) > 1
-    return ctx._pass_set.moduli
+    lay = layout(select_context((1 << (bits - 1)) + 95, RangeCase.CASE2, word_bits))
+    assert max(map(len, lay.members)) > 1
+    return lay.pass_set.moduli
 
 
 # Channel moduli, then group products: at 8-bit words each role is one group
@@ -306,19 +292,20 @@ def test_packed_lanes_hold_worst_case_sums(moduli):
     # it: the lane read before each digit and the rest lanes left at the end
     # are their exact sums, below 2**width, and nothing spills above the
     # top lane. Residues p_i - 1 on every channel encode the product minus
-    # one, and ``_peel`` divides and extends it exactly.
+    # one, and the peel divides and extends it exactly.
     for peel in peel_sets(len(moduli)):
         rest = [i for i in range(len(moduli)) if i not in peel]
-        rows = PeelRows(moduli, peel, rest)
+        rows = peel_rows(moduli, peel, rest)
         peeled = [moduli[k] for k in peel]
         digits = [p - 1 for p in peeled]
-        width = rows.width
+        width = rows.lane_bits
 
         def exact(m, count):
             return sum(d * (prod(peeled[:l]) % m) for l, d in enumerate(digits[:count]))
 
         acc = 0
-        for j, column in enumerate(rows.columns):
+        for j, lanes in enumerate(rows.lanes):
+            column = sum(lane << (width * i) for i, lane in enumerate(lanes))
             pending = exact(peeled[j], j)
             assert pending < 1 << width
             assert acc & ((1 << width) - 1) == pending
@@ -326,12 +313,13 @@ def test_packed_lanes_hold_worst_case_sums(moduli):
             assert acc >> (width * (len(digits) - 1 - j + len(rest))) == 0
         expected = [exact(moduli[i], len(digits)) for i in rest]
         assert all(s < 1 << width for s in expected)
-        assert lanes(acc, width, len(rest)) == expected
+        assert acc >> (width * len(rest)) == 0
+        assert [acc >> (width * i) & ((1 << width) - 1) for i in range(len(rest))] == expected
         top = [m - 1 for m in moduli]
         quotient = (prod(moduli) - 1) // prod(peeled)
-        assert _peel(rows, moduli, top) == [quotient % moduli[i] for i in rest]
+        assert run_peel(moduli, peel, rest, top) == [quotient % moduli[i] for i in rest]
         known = prod(peeled) - 1
-        assert _peel(rows, moduli, top, divide=False) == [known % moduli[i] for i in rest]
+        assert run_peel(moduli, peel, rest, top, divide=False) == [known % moduli[i] for i in rest]
 
 
 @pytest.mark.parametrize(
